@@ -326,6 +326,11 @@ impl PlanService {
         let height = opt_dim(request, "height")?.unwrap_or(8);
         let workload = req_str(request, "workload")?.to_owned();
         let vcs = opt_u8(request, "vcs")?.unwrap_or(2);
+        if !(1..=8).contains(&vcs) {
+            return Err(ServeError::BadRequest(format!(
+                "field 'vcs' must be 1..=8, got {vcs}"
+            )));
+        }
         let key: ScenarioKey = (topology, width, height, workload, vcs);
         if let Some(hit) = self.scenarios.lock().expect("memo poisoned").get(&key) {
             return Ok(hit.clone());
@@ -665,6 +670,14 @@ mod tests {
             ),
             (
                 r#"{"op":"evaluate","workload":"transpose","algorithm":"xy"}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"plan","workload":"transpose","algorithm":"xy","vcs":0}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"plan","workload":"transpose","algorithm":"xy","vcs":255}"#,
                 "bad-request",
             ),
             (r#"{"op":"invalidate"}"#, "bad-request"),

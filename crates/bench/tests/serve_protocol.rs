@@ -27,7 +27,11 @@ const SCRIPT: &str = concat!(
     r#"{"id":7,"op":"warp"}"#,
     "\n",
     "this is not json\n",
-    r#"{"id":9,"op":"stats"}"#,
+    r#"{"id":9,"op":"plan","workload":"transpose","algorithm":"xy","vcs":0}"#,
+    "\n",
+    r#"{"id":10,"op":"plan","workload":"transpose","algorithm":"xy","vcs":9}"#,
+    "\n",
+    r#"{"id":11,"op":"stats"}"#,
     "\n",
 );
 
@@ -58,7 +62,7 @@ fn run_binary(input: &str) -> Vec<String> {
 #[test]
 fn binary_answers_good_bad_and_malformed_requests_deterministically() {
     let first = run_binary(SCRIPT);
-    assert_eq!(first.len(), 9, "one response line per request line");
+    assert_eq!(first.len(), 11, "one response line per request line");
     let parsed: Vec<Json> = first
         .iter()
         .map(|line| Json::parse(line).expect("every response is valid JSON"))
@@ -71,12 +75,23 @@ fn binary_answers_good_bad_and_malformed_requests_deterministically() {
             .and_then(Json::as_str)
             .expect("failed responses carry a code")
     };
-    assert!(ok(0) && ok(1) && ok(2) && ok(3) && ok(4) && ok(8));
+    assert!(ok(0) && ok(1) && ok(2) && ok(3) && ok(4) && ok(10));
     assert_eq!(first[0], first[1], "the cache hit answers byte-identically");
     assert_eq!(code(5), "unknown-workload");
     assert_eq!(code(6), "unknown-op");
     assert_eq!(code(7), "bad-json");
-    let stats = parsed[8].get("result").expect("stats result");
+    // A VC count outside 1..=8 is refused by name, and the server lives
+    // on to answer the next request.
+    for i in [8, 9] {
+        assert_eq!(code(i), "bad-request");
+        let message = parsed[i]
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("failed responses carry a message");
+        assert!(message.contains("'vcs'"), "{message}");
+    }
+    let stats = parsed[10].get("result").expect("stats result");
     assert_eq!(
         stats.get("solves").and_then(Json::as_u64),
         Some(1),

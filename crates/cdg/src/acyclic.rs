@@ -34,7 +34,9 @@ pub struct AcyclicCdg {
     cdg: Cdg,
     name: String,
     removed: usize,
-    /// `rank[v]` = position of vertex `v` in a topological order.
+    /// A topological order of the dependence graph's vertices.
+    order: Vec<GraphNode>,
+    /// `rank[v]` = position of vertex `v` in `order`.
     rank: Vec<u32>,
 }
 
@@ -59,6 +61,7 @@ impl AcyclicCdg {
                     cdg,
                     name,
                     removed,
+                    order,
                     rank,
                 })
             }
@@ -102,12 +105,9 @@ impl AcyclicCdg {
     pub fn ad_hoc(topo: &Topology, vcs: u8, seed: u64) -> Self {
         let mut cdg = Cdg::build(topo, vcs);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut removed = 0usize;
-        while let Some(cycle) = algo::find_cycle(cdg.graph()) {
-            let victim = cycle[rng.gen_range(0..cycle.len())];
-            cdg.graph_mut().remove_edge(victim);
-            removed += 1;
-        }
+        let removed = algo::break_cycles(cdg.graph_mut(), |cycle| {
+            cycle[rng.gen_range(0..cycle.len())]
+        });
         AcyclicCdg::try_new(cdg, format!("ad-hoc-{seed}"), removed)
             .expect("iterative cycle breaking terminates with an acyclic graph")
     }
@@ -123,49 +123,66 @@ impl AcyclicCdg {
     ///
     /// # Errors
     ///
-    /// [`CdgError::NotAGrid`] when the topology has no grid directions
-    /// (no turn-model skeleton exists; use [`AcyclicCdg::ad_hoc`] there),
-    /// or [`CdgError::NoVirtualChannels`] when `vcs == 0`.
+    /// * [`CdgError::NotAGrid`] when the topology has no grid directions
+    ///   (no turn-model skeleton exists; use [`AcyclicCdg::ad_hoc`]
+    ///   there).
+    /// * [`CdgError::NoValidTurnModel`] when it has grid directions but no
+    ///   deadlock-free turn model (a torus).
+    /// * [`CdgError::NoVirtualChannels`] when `vcs == 0`.
     pub fn ad_hoc_routable(topo: &Topology, vcs: u8, seed: u64) -> Result<Self, CdgError> {
         if vcs == 0 {
             return Err(CdgError::NoVirtualChannels);
         }
+        AcyclicCdg::ad_hoc_routable_among(topo, vcs, seed, &TurnModel::valid_models(topo)?)
+    }
+
+    /// [`AcyclicCdg::ad_hoc_routable`] with the skeleton drawn from
+    /// `models`, the topology's [`TurnModel::valid_models`] computed once
+    /// by the caller. Same RNG draws, same result.
+    ///
+    /// # Errors
+    ///
+    /// [`CdgError::NoValidTurnModel`] when `models` is empty, or
+    /// [`CdgError::NoVirtualChannels`] when `vcs == 0`.
+    pub fn ad_hoc_routable_among(
+        topo: &Topology,
+        vcs: u8,
+        seed: u64,
+        models: &[TurnModel],
+    ) -> Result<Self, CdgError> {
+        if vcs == 0 {
+            return Err(CdgError::NoVirtualChannels);
+        }
+        if models.is_empty() {
+            return Err(CdgError::NoValidTurnModel);
+        }
         let mut rng = StdRng::seed_from_u64(seed);
-        let models = TurnModel::valid_models(topo)?;
         let skeleton = &models[rng.gen_range(0..models.len())];
         let mut cdg = Cdg::build(topo, vcs);
-        // Protected edges: VC0 -> VC0 dependences the skeleton model allows.
-        let protected: std::collections::HashSet<_> = cdg
-            .graph()
-            .edges()
-            .filter(|&(_, s, d, _)| {
-                let a = cdg.vertex(s);
-                let b = cdg.vertex(d);
-                if a.vc.0 != 0 || b.vc.0 != 0 {
-                    return false;
-                }
-                match cdg.edge_turn(s, d) {
+        // Protected edges: VC0 -> VC0 dependences the skeleton model
+        // allows, flagged by edge id (a fresh CDG's ids are dense).
+        let mut protected = vec![false; cdg.graph().edge_count()];
+        for (id, s, d, _) in cdg.graph().edges() {
+            let (a, b) = (cdg.vertex(s), cdg.vertex(d));
+            protected[id.index()] = a.vc.0 == 0
+                && b.vc.0 == 0
+                && match cdg.edge_turn(s, d) {
                     Some((from, to)) => skeleton.allows(from, to),
                     None => true,
-                }
-            })
-            .map(|(id, _, _, _)| id)
-            .collect();
-        let mut removed = 0usize;
-        while let Some(cycle) = algo::find_cycle(cdg.graph()) {
+                };
+        }
+        let removed = algo::break_cycles(cdg.graph_mut(), |cycle| {
             let candidates: Vec<_> = cycle
                 .iter()
                 .copied()
-                .filter(|e| !protected.contains(e))
+                .filter(|e| !protected[e.index()])
                 .collect();
             debug_assert!(
                 !candidates.is_empty(),
                 "every cycle contains a non-protected edge"
             );
-            let victim = candidates[rng.gen_range(0..candidates.len())];
-            cdg.graph_mut().remove_edge(victim);
-            removed += 1;
-        }
+            candidates[rng.gen_range(0..candidates.len())]
+        });
         AcyclicCdg::try_new(cdg, format!("ad-hoc-routable-{seed}"), removed)
     }
 
@@ -384,6 +401,17 @@ impl AcyclicCdg {
         self.rank[v.index()]
     }
 
+    /// Every vertex's [`AcyclicCdg::rank`], indexed by vertex id.
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// The vertices in ascending [`AcyclicCdg::rank`]: every dependence
+    /// edge points forward in this list.
+    pub fn topological_order(&self) -> &[GraphNode] {
+        &self.order
+    }
+
     /// Vertices usable as the first channel of a route leaving `n`.
     pub fn sources_for(&self, n: NodeId) -> Vec<GraphNode> {
         self.cdg.vertices_leaving(n)
@@ -521,6 +549,17 @@ mod tests {
     }
 
     #[test]
+    fn ad_hoc_routable_on_a_torus_is_a_typed_error() {
+        // A torus has grid directions but no deadlock-free turn model,
+        // so there is no skeleton to protect.
+        let torus = Topology::torus2d(4, 4);
+        assert_eq!(
+            AcyclicCdg::ad_hoc_routable(&torus, 2, 1).unwrap_err(),
+            CdgError::NoValidTurnModel
+        );
+    }
+
+    #[test]
     fn up_down_is_acyclic_on_every_topology_family() {
         for topo in [
             Topology::mesh2d(3, 3),
@@ -582,6 +621,9 @@ mod tests {
         let a = AcyclicCdg::turn_model(&t, 1, &TurnModel::north_last()).expect("valid");
         for (_, s, d, _) in a.graph().edges() {
             assert!(a.rank(s) < a.rank(d));
+        }
+        for (pos, &v) in a.topological_order().iter().enumerate() {
+            assert_eq!(a.ranks()[v.index()], pos as u32);
         }
     }
 

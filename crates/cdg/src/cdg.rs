@@ -60,6 +60,11 @@ pub enum CdgError {
     },
     /// Zero virtual channels were requested.
     NoVirtualChannels,
+    /// The topology has grid directions but no deadlock-free two-turn
+    /// model (e.g. a torus, whose wraparound channels close cycles every
+    /// turn model leaves), so there is no turn-model skeleton to
+    /// protect.
+    NoValidTurnModel,
 }
 
 impl fmt::Display for CdgError {
@@ -75,6 +80,9 @@ impl fmt::Display for CdgError {
                 write!(f, "strategy '{strategy}' does not break all CDG cycles")
             }
             CdgError::NoVirtualChannels => write!(f, "at least one virtual channel is required"),
+            CdgError::NoValidTurnModel => {
+                write!(f, "no two-turn model is deadlock-free on this topology")
+            }
         }
     }
 }
@@ -92,6 +100,10 @@ pub struct Cdg {
     graph: DiGraph<CdgVertex, ()>,
     vcs: u8,
     num_links: usize,
+    /// `leaving[n]` / `entering[n]`: the links out of / into node `n`,
+    /// in ascending link id.
+    leaving: Vec<Vec<LinkId>>,
+    entering: Vec<Vec<LinkId>>,
 }
 
 impl Cdg {
@@ -119,10 +131,18 @@ impl Cdg {
                 });
             }
         }
+        let mut leaving = vec![Vec::new(); topo.num_nodes()];
+        let mut entering = vec![Vec::new(); topo.num_nodes()];
+        for l in topo.link_ids() {
+            leaving[topo.link(l).src.index()].push(l);
+            entering[topo.link(l).dst.index()].push(l);
+        }
         let cdg = Cdg {
             graph,
             vcs,
             num_links: topo.num_links(),
+            leaving,
+            entering,
         };
         let mut edges: Vec<(GraphNode, GraphNode)> = Vec::new();
         for l1 in topo.link_ids() {
@@ -178,22 +198,27 @@ impl Cdg {
     }
 
     /// Vertices whose channel leaves network node `n` (per-flow source
-    /// attachment points in the paper's flow-network derivation).
+    /// attachment points in the paper's flow-network derivation), in
+    /// ascending vertex id. O(out-degree of `n` × VCs).
     pub fn vertices_leaving(&self, n: NodeId) -> Vec<GraphNode> {
-        self.graph
-            .nodes()
-            .filter(|(_, v)| v.src == n)
-            .map(|(id, _)| id)
-            .collect()
+        self.vertices_of(&self.leaving, n)
     }
 
     /// Vertices whose channel enters network node `n` (per-flow sink
-    /// attachment points).
+    /// attachment points), in ascending vertex id. O(in-degree of `n` ×
+    /// VCs).
     pub fn vertices_entering(&self, n: NodeId) -> Vec<GraphNode> {
-        self.graph
-            .nodes()
-            .filter(|(_, v)| v.dst == n)
-            .map(|(id, _)| id)
+        self.vertices_of(&self.entering, n)
+    }
+
+    /// Every VC vertex of node `n`'s links in `by_node` (none for a node
+    /// outside the topology); ascending links give ascending ids.
+    fn vertices_of(&self, by_node: &[Vec<LinkId>], n: NodeId) -> Vec<GraphNode> {
+        by_node
+            .get(n.index())
+            .into_iter()
+            .flatten()
+            .flat_map(|&l| (0..self.vcs).map(move |vc| self.vertex_id(l, VcId(vc))))
             .collect()
     }
 
@@ -275,6 +300,31 @@ mod tests {
     }
 
     #[test]
+    fn attachment_points_match_a_full_scan() {
+        // The grouped adjacency must return exactly what scanning every
+        // vertex does, in the same ascending order.
+        for (t, vcs) in [
+            (Topology::mesh2d(4, 3), 2),
+            (Topology::torus2d(3, 3), 3),
+            (Topology::ring(5), 1),
+        ] {
+            let cdg = Cdg::build(&t, vcs);
+            for n in t.node_ids() {
+                let scan = |f: &dyn Fn(&CdgVertex) -> bool| -> Vec<GraphNode> {
+                    cdg.graph()
+                        .nodes()
+                        .filter(|(_, v)| f(v))
+                        .map(|(id, _)| id)
+                        .collect()
+                };
+                assert_eq!(cdg.vertices_leaving(n), scan(&|v| v.src == n));
+                assert_eq!(cdg.vertices_entering(n), scan(&|v| v.dst == n));
+            }
+            assert!(cdg.vertices_leaving(NodeId(999)).is_empty());
+        }
+    }
+
+    #[test]
     fn ring_cdg_builds_without_directions() {
         let t = Topology::ring(5);
         let cdg = Cdg::build(&t, 1);
@@ -293,6 +343,7 @@ mod tests {
     fn error_display() {
         assert!(!CdgError::NotAGrid.to_string().is_empty());
         assert!(!CdgError::NoVirtualChannels.to_string().is_empty());
+        assert!(!CdgError::NoValidTurnModel.to_string().is_empty());
         let e = CdgError::StillCyclic {
             strategy: "x".into(),
         };

@@ -94,21 +94,40 @@ pub enum CdgStrategy {
     VirtualNetworks(Vec<LayerRecipe>),
 }
 
+/// The topology's valid turn models, derived on first use and shared by
+/// every strategy of one exploration.
+type ValidModels = Option<Result<Vec<TurnModel>, CdgError>>;
+
+fn valid_models<'m>(
+    slot: &'m mut ValidModels,
+    topo: &Topology,
+) -> Result<&'m [TurnModel], CdgError> {
+    slot.get_or_insert_with(|| TurnModel::valid_models(topo))
+        .as_deref()
+        .map_err(Clone::clone)
+}
+
 impl CdgStrategy {
     /// Expands the strategy into concrete acyclic CDGs with `vcs` virtual
     /// channels. Failures (e.g. a turn model on a torus) surface as
     /// per-CDG errors.
-    fn expand(&self, topo: &Topology, vcs: u8) -> Vec<Result<AcyclicCdg, CdgError>> {
+    fn expand(
+        &self,
+        topo: &Topology,
+        vcs: u8,
+        models: &mut ValidModels,
+    ) -> Vec<Result<AcyclicCdg, CdgError>> {
         match self {
             CdgStrategy::TurnModel(m) => vec![AcyclicCdg::turn_model(topo, vcs, m)],
-            CdgStrategy::AllTurnModels => match TurnModel::valid_models(topo) {
+            CdgStrategy::AllTurnModels => match valid_models(models, topo) {
                 Err(e) => vec![Err(e)],
                 Ok(models) => models
-                    .into_iter()
-                    .map(|m| AcyclicCdg::turn_model(topo, vcs, &m))
+                    .iter()
+                    .map(|m| AcyclicCdg::turn_model(topo, vcs, m))
                     .collect(),
             },
-            CdgStrategy::AdHoc { seed } => vec![AcyclicCdg::ad_hoc_routable(topo, vcs, *seed)],
+            CdgStrategy::AdHoc { seed } => vec![valid_models(models, topo)
+                .and_then(|valid| AcyclicCdg::ad_hoc_routable_among(topo, vcs, *seed, valid))],
             CdgStrategy::AdHocAny { seed } => vec![Ok(AcyclicCdg::ad_hoc(topo, vcs, *seed))],
             CdgStrategy::UpDown => vec![AcyclicCdg::up_down(topo, vcs)],
             CdgStrategy::EscalatingVc(m) => vec![AcyclicCdg::escalating_vc(topo, vcs, m)],
@@ -293,8 +312,9 @@ impl<'a> BsorBuilder<'a> {
     pub fn explore(&self) -> Result<Vec<ExplorationRecord>, BsorError> {
         self.flows.validate(self.topo)?;
         let mut records = Vec::new();
+        let mut models = None;
         for strategy in &self.strategies {
-            for derived in strategy.expand(self.topo, self.vcs) {
+            for derived in strategy.expand(self.topo, self.vcs, &mut models) {
                 let record = match derived {
                     Err(e) => ExplorationRecord {
                         cdg: format!("{strategy:?}"),
@@ -529,6 +549,24 @@ mod tests {
             assert!(deadlock::is_deadlock_free(&topo, &result.routes, 2));
             result.routes.validate(&topo, &flows, 2).expect("valid");
         }
+    }
+
+    #[test]
+    fn torus_without_turn_models_is_no_usable_cdg() {
+        // A torus has grid directions but no valid turn model: the
+        // default exploration derives no turn-model CDG and records a
+        // typed error for each protected ad-hoc CDG instead of panicking.
+        let topo = Topology::torus2d(4, 4);
+        let w = transpose(&topo).expect("square");
+        let err = BsorBuilder::new(&topo, &w.flows).run().unwrap_err();
+        let BsorError::NoUsableCdg(records) = err else {
+            panic!("expected NoUsableCdg, got {err}");
+        };
+        assert_eq!(records.len(), 3);
+        let reason = CdgError::NoValidTurnModel.to_string();
+        assert!(records
+            .iter()
+            .all(|r| r.outcome.as_ref().err() == Some(&reason)));
     }
 
     #[test]

@@ -1,5 +1,17 @@
-//! Graph algorithms: topological sort, cycle detection, strongly connected
-//! components, Dijkstra, BFS hop counts, and bounded simple-path enumeration.
+//! Graph algorithms: topological sort, cycle detection and breaking,
+//! strongly connected components, shortest paths, BFS hop counts, and
+//! bounded simple-path enumeration.
+//!
+//! Two pairs of functions here compute the same thing at different
+//! cost, and the cheaper one is pinned to the simpler one by
+//! differential property tests:
+//!
+//! * [`dag_shortest_paths`] sweeps an acyclic graph once in topological
+//!   order. It returns exactly what the binary-heap [`dijkstra`] returns
+//!   when weights are positive and depend only on the head vertex.
+//! * [`break_cycles`] removes the same edges, in the same order, as a
+//!   loop of [`find_cycle`] plus [`DiGraph::remove_edge`], without
+//!   restarting the search after each removal.
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 use std::cmp::Ordering;
@@ -112,6 +124,111 @@ pub fn find_cycle<N, E>(g: &DiGraph<N, E>) -> Option<Vec<EdgeId>> {
         }
     }
     None
+}
+
+/// Removes edges until `g` is acyclic, one edge per cycle, and returns
+/// how many it removed.
+///
+/// Each round hands `victim` the cycle [`find_cycle`] would report on
+/// the current graph and removes the edge it returns, which must lie on
+/// that cycle. The removed edges, the order of the calls to `victim` and
+/// the final `out_edges`/`in_edges` order are therefore exactly those of
+///
+/// ```ignore
+/// while let Some(cycle) = find_cycle(g) {
+///     g.remove_edge(victim(&cycle));
+/// }
+/// ```
+///
+/// but the depth-first search is not restarted from node 0 after each
+/// removal. It rewinds to just before the removed edge was read and
+/// turns white again every node first greyed after that point. A fresh
+/// search on the smaller graph would read the same edges up to that
+/// point, because [`DiGraph::remove_edge`] only changes the tail's
+/// out-list at and after the removed edge's position.
+///
+/// # Panics
+///
+/// Panics if `victim` returns an edge that is not on the cycle.
+pub fn break_cycles<N, E>(
+    g: &mut DiGraph<N, E>,
+    mut victim: impl FnMut(&[EdgeId]) -> EdgeId,
+) -> usize {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let n = g.node_count();
+    let mut color = vec![Color::White; n];
+    // Nodes in the order they were greyed; rewinding truncates it.
+    let mut greyed: Vec<NodeId> = Vec::new();
+    // DFS frames (node, next out-edge index). `path[i]` is the edge read
+    // from `stack[i]` at index `stack[i].1 - 1`, and `marks[i]` is
+    // `greyed.len()` just before it was read.
+    let mut stack: Vec<(NodeId, usize)> = Vec::new();
+    let mut path: Vec<EdgeId> = Vec::new();
+    let mut marks: Vec<usize> = Vec::new();
+    let mut removed = 0usize;
+    for start in (0..n as u32).map(NodeId) {
+        if color[start.index()] != Color::White {
+            continue;
+        }
+        color[start.index()] = Color::Gray;
+        greyed.push(start);
+        stack.push((start, 0));
+        while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
+            let out = g.out_edges(v);
+            if *idx >= out.len() {
+                color[v.index()] = Color::Black;
+                stack.pop();
+                path.pop();
+                marks.pop();
+                continue;
+            }
+            let e = out[*idx];
+            *idx += 1;
+            let (_, w) = g.endpoints(e).expect("live edge in adjacency");
+            match color[w.index()] {
+                Color::White => {
+                    path.push(e);
+                    marks.push(greyed.len());
+                    color[w.index()] = Color::Gray;
+                    greyed.push(w);
+                    stack.push((w, 0));
+                }
+                Color::Black => {}
+                Color::Gray => {
+                    path.push(e);
+                    marks.push(greyed.len());
+                    let first = path
+                        .iter()
+                        .position(|&pe| g.endpoints(pe).expect("live edge").0 == w)
+                        .expect("gray node is on the current DFS path");
+                    let doomed = victim(&path[first..]);
+                    let i = first
+                        + path[first..]
+                            .iter()
+                            .position(|&pe| pe == doomed)
+                            .expect("victim must lie on the reported cycle");
+                    g.remove_edge(doomed);
+                    removed += 1;
+                    // Rewind to just before `doomed` was read from
+                    // `stack[i]`; the edge swapped into its slot is read
+                    // next.
+                    for u in greyed.drain(marks[i]..) {
+                        color[u.index()] = Color::White;
+                    }
+                    stack.truncate(i + 1);
+                    stack[i].1 -= 1;
+                    path.truncate(i);
+                    marks.truncate(i);
+                }
+            }
+        }
+    }
+    removed
 }
 
 /// Tarjan's strongly connected components. Components are returned in
@@ -249,6 +366,10 @@ impl ShortestPaths {
 /// `sources` supplies initial distances (typically 0.0). Edge weights are
 /// evaluated lazily via `weight`, which must be non-negative.
 ///
+/// Route selection runs on acyclic graphs and uses
+/// [`dag_shortest_paths`]; this binary-heap version is kept as the
+/// reference that kernel is tested against.
+///
 /// # Panics
 ///
 /// Debug-asserts that weights are non-negative.
@@ -280,6 +401,102 @@ pub fn dijkstra<N, E>(
                 dist[w.index()] = nd;
                 pred[w.index()] = Some(e);
                 heap.push(HeapItem { dist: nd, node: w });
+            }
+        }
+    }
+    ShortestPaths { dist, pred }
+}
+
+/// Multi-source shortest paths on an acyclic graph whose edge weights
+/// depend only on the head vertex, in one sweep over a topological
+/// order.
+///
+/// `order` lists every node in a topological order and `rank[v]` is
+/// `v`'s position in it. `sources` seeds distances as in [`dijkstra`];
+/// an edge into `v` costs `weight(v)`, which must be positive. The sweep
+/// covers the ranks from the lowest source to the highest target,
+/// evaluating `weight` at most once per vertex it reaches.
+///
+/// For every node ranked at most the highest target, `dist` and `pred`
+/// equal what [`dijkstra`] returns with the edge weight
+/// `weight(head(e))`, bit for bit and tie for tie:
+///
+/// * `pred[v]` is the edge from the reachable in-neighbour with the
+///   smallest `(dist, node id)`; among parallel edges from it, the first
+///   in its out-edge order. The heap pops nodes in that order, and since
+///   every edge into `v` costs the same, the first pop to relax `v` is
+///   never beaten.
+/// * A source keeps its seed distance, and no predecessor, unless that
+///   edge strictly beats it.
+///
+/// Later nodes keep their seed distance (or infinity) and no
+/// predecessor.
+///
+/// # Panics
+///
+/// Panics if `order` or `rank` does not cover every node.
+pub fn dag_shortest_paths<N, E>(
+    g: &DiGraph<N, E>,
+    order: &[NodeId],
+    rank: &[u32],
+    sources: &[(NodeId, f64)],
+    targets: &[NodeId],
+    mut weight: impl FnMut(NodeId) -> f64,
+) -> ShortestPaths {
+    let n = g.node_count();
+    assert!(
+        order.len() == n && rank.len() == n,
+        "topological order must cover every node"
+    );
+    let mut dist = vec![f64::INFINITY; n];
+    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
+    for &(s, d0) in sources {
+        if d0 < dist[s.index()] {
+            dist[s.index()] = d0;
+        }
+    }
+    let lo = sources.iter().map(|&(s, _)| rank[s.index()]).min();
+    let hi = targets.iter().map(|t| rank[t.index()]).max();
+    let (Some(lo), Some(hi)) = (lo, hi) else {
+        return ShortestPaths { dist, pred };
+    };
+    // `tail[v]` is the tail of the candidate edge `pred[v]` while `v`
+    // waits for its turn in the sweep.
+    let mut tail = vec![NodeId(u32::MAX); n];
+    for &v in order.get(lo as usize..=hi as usize).unwrap_or(&[]) {
+        if pred[v.index()].is_some() {
+            let wv = weight(v);
+            debug_assert!(wv > 0.0, "non-positive weight in dag_shortest_paths");
+            let nd = dist[tail[v.index()].index()] + wv;
+            if nd < dist[v.index()] {
+                dist[v.index()] = nd;
+            } else {
+                pred[v.index()] = None;
+            }
+        }
+        let dv = dist[v.index()];
+        if dv == f64::INFINITY {
+            continue;
+        }
+        for &e in g.out_edges(v) {
+            let (_, w) = g.endpoints(e).expect("live edge");
+            debug_assert!(
+                rank[w.index()] > rank[v.index()],
+                "order is not topological"
+            );
+            if rank[w.index()] > hi {
+                continue;
+            }
+            let beaten = match pred[w.index()] {
+                None => true,
+                Some(_) => {
+                    let u = tail[w.index()];
+                    (dv, v) < (dist[u.index()], u)
+                }
+            };
+            if beaten {
+                pred[w.index()] = Some(e);
+                tail[w.index()] = v;
             }
         }
     }
@@ -542,6 +759,43 @@ mod tests {
         let sp = dijkstra(&g, &[(a, 0.0)], |_| 1.0);
         assert!(sp.dist[b.index()].is_infinite());
         assert_eq!(sp.path_to(&g, b), None);
+    }
+
+    #[test]
+    fn dag_sweep_breaks_ties_like_the_heap() {
+        // Two equal-cost routes a->b->d and a->c->d: the heap relaxes d
+        // from b first (smaller id at equal distance), and so must the
+        // sweep.
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let ids: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
+        let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
+        g.add_edge(a, c, ());
+        let ab = g.add_edge(a, b, ());
+        g.add_edge(c, d, ());
+        let bd = g.add_edge(b, d, ());
+        let order = toposort(&g).expect("acyclic");
+        let mut rank = vec![0u32; 4];
+        for (pos, v) in order.iter().enumerate() {
+            rank[v.index()] = pos as u32;
+        }
+        let sp = dag_shortest_paths(&g, &order, &rank, &[(a, 1.0)], &[d], |_| 1.0);
+        assert_eq!(sp.dist[d.index()], 3.0);
+        assert_eq!(sp.path_to(&g, d), Some(vec![ab, bd]));
+        let heap = dijkstra(&g, &[(a, 1.0)], |_| 1.0);
+        assert_eq!(sp.pred, heap.pred);
+        // No target, no sweep: only the seed survives.
+        let none = dag_shortest_paths(&g, &order, &rank, &[(a, 1.0)], &[], |_| 1.0);
+        assert_eq!(none.dist[a.index()], 1.0);
+        assert!(none.dist[d.index()].is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "victim must lie on the reported cycle")]
+    fn break_cycles_rejects_an_off_cycle_victim() {
+        let mut g = cyclic_triangle();
+        let x = g.add_node(());
+        let off = g.add_edge(NodeId(0), x, ());
+        break_cycles(&mut g, |_| off);
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! capacities are updated, spreading load across channels and VCs. Routes
 //! conform to the acyclic CDG by construction, so the result is
 //! deadlock-free.
+//!
+//! Each per-flow query is one sweep of the acyclic CDG in topological
+//! order ([`algo::dag_shortest_paths`]), linear in the CDG's size, not a
+//! binary-heap Dijkstra. The routes are the ones the heap would choose,
+//! bit for bit: every edge into a vertex carries that vertex's weight,
+//! which is positive, so the heap relaxes each vertex first, and for
+//! good, from its in-neighbour with the smallest `(distance, vertex id)`,
+//! which is the predecessor the sweep picks. The route ends on the first
+//! sink, in ascending vertex id, at the minimum distance.
 
 use crate::route::{Route, RouteHop, RouteSet, VcMask};
 use crate::selector::{FlowOrder, SelectError};
@@ -185,34 +194,49 @@ impl DijkstraSelector {
     }
 }
 
-/// Runs one weighted-shortest-path query for `flow`, returning the CDG
-/// vertex sequence of the best route, or `None` if no sink is reachable.
+/// Runs one weighted-shortest-path query for `flow` under the current
+/// load, returning the CDG vertex sequence of the best route, or `None`
+/// if no sink is reachable.
 fn route_one(
     net: &FlowNetwork<'_>,
     load: &LoadState,
     params: &WeightParams,
     flow: &Flow,
 ) -> Option<Vec<GraphNode>> {
-    let graph = net.acyclic().graph();
+    cheapest_route(net, flow, |v| params.weight(net, load, v, flow.demand))
+}
+
+/// The cheapest route for `flow` when entering CDG vertex `v` costs
+/// `weight(v)`, which must be positive: the CDG vertex sequence ending
+/// on the first sink, in ascending vertex id, at the minimum cost, or
+/// `None` if no sink is reachable.
+pub(crate) fn cheapest_route(
+    net: &FlowNetwork<'_>,
+    flow: &Flow,
+    mut weight: impl FnMut(GraphNode) -> f64,
+) -> Option<Vec<GraphNode>> {
+    let acyclic = net.acyclic();
+    let graph = acyclic.graph();
     // The implicit edge from the source terminal to each starting vertex
-    // carries that vertex's weight.
+    // carries that vertex's weight. Every other edge carries the weight
+    // of the vertex it enters; edges into the sink terminal carry 0
+    // (paper §3.6), so the path cost is exactly the sum of the vertices'
+    // weights.
     let sources: Vec<(GraphNode, f64)> = net
         .sources(flow)
         .into_iter()
-        .map(|v| (v, params.weight(net, load, v, flow.demand)))
+        .map(|v| (v, weight(v)))
         .collect();
-    if sources.is_empty() {
-        return None;
-    }
-    // Every other edge carries the weight of the vertex it enters; edges
-    // into the sink terminal carry 0 (paper §3.6), so the path cost is
-    // exactly the sum of the vertices' weights.
-    let sp = algo::dijkstra(graph, &sources, |e| {
-        let (_, head) = graph.endpoints(e).expect("live edge");
-        params.weight(net, load, head, flow.demand)
-    });
-    let best_sink = net
-        .sinks(flow)
+    let sinks = net.sinks(flow);
+    let sp = algo::dag_shortest_paths(
+        graph,
+        acyclic.topological_order(),
+        acyclic.ranks(),
+        &sources,
+        &sinks,
+        weight,
+    );
+    let best_sink = sinks
         .into_iter()
         .filter(|v| sp.dist[v.index()].is_finite())
         .min_by(|a, b| {

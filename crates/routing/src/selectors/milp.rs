@@ -13,10 +13,18 @@
 //! reported in [`MilpReport::truncated_flows`] when hit (making the solve
 //! a documented heuristic, exactly like running CPLEX with iteration
 //! limits in the thesis).
+//!
+//! The candidate pool holds, per flow, the Dijkstra selector's
+//! warm-start path, the paths of a bounded exhaustive DFS, and one
+//! shortest path per randomized-weight round. The rounds draw one
+//! weight per CDG vertex and run the Dijkstra selector's per-flow
+//! query: one topological-order sweep of the acyclic CDG, which picks
+//! exactly the path a binary-heap Dijkstra would (see
+//! [`crate::selectors::dijkstra`]).
 
 use crate::route::{Route, RouteHop, RouteSet, VcMask};
 use crate::selector::SelectError;
-use crate::selectors::dijkstra::DijkstraSelector;
+use crate::selectors::dijkstra::{cheapest_route, DijkstraSelector};
 use bsor_flow::{FlowId, FlowNetwork, FlowSet};
 use bsor_lp::{Cmp, MilpOptions, MilpStats, Model, VarId};
 use bsor_netgraph::{algo, NodeId as GraphNode};
@@ -246,36 +254,9 @@ impl MilpSelector {
                 if per_flow[i].len() >= self.max_paths_per_flow {
                     continue;
                 }
-                let sources: Vec<(GraphNode, f64)> = net
-                    .sources(flow)
-                    .into_iter()
-                    .map(|v| (v, weights[v.index()]))
-                    .collect();
-                let sp = algo::dijkstra(graph, &sources, |e| {
-                    let (_, head) = graph.endpoints(e).expect("live edge");
-                    weights[head.index()]
-                });
-                let Some(best_sink) = net
-                    .sinks(flow)
-                    .into_iter()
-                    .filter(|v| sp.dist[v.index()].is_finite())
-                    .min_by(|a, b| {
-                        sp.dist[a.index()]
-                            .partial_cmp(&sp.dist[b.index()])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                else {
+                let Some(verts) = cheapest_route(net, flow, |v| weights[v.index()]) else {
                     continue;
                 };
-                let edge_path = sp.path_to(graph, best_sink).expect("finite distance");
-                let mut verts = Vec::with_capacity(edge_path.len() + 1);
-                match edge_path.first() {
-                    Some(&e) => verts.push(graph.endpoints(e).expect("live edge").0),
-                    None => verts.push(best_sink),
-                }
-                for &e in &edge_path {
-                    verts.push(graph.endpoints(e).expect("live edge").1);
-                }
                 if verts.len() <= bounds[i] && seen[i].insert(verts.clone()) {
                     per_flow[i].push(verts);
                 }

@@ -425,10 +425,12 @@ fn default_cdg(topo: &Topology, vcs: u8) -> Result<AcyclicCdg, CdgError> {
     // where at least one valid model does (meshes); tori have grid
     // directions but no valid two-turn model, so fall through to
     // unprotected breaking there.
-    if matches!(TurnModel::valid_models(topo), Ok(models) if !models.is_empty()) {
-        return AcyclicCdg::ad_hoc_routable(topo, vcs, 1);
+    match AcyclicCdg::ad_hoc_routable(topo, vcs, 1) {
+        Err(CdgError::NotAGrid | CdgError::NoValidTurnModel) => {
+            Ok(AcyclicCdg::ad_hoc(topo, vcs, 1))
+        }
+        routable => routable,
     }
-    Ok(AcyclicCdg::ad_hoc(topo, vcs, 1))
 }
 
 /// Builder for a [`Scenario`].
