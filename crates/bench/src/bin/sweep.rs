@@ -47,9 +47,6 @@
 //!                           random-walk; over-budget routes become typed
 //!                           per-case errors
 //!   --threads N             sweep worker threads           (default: available cores)
-//!   --engine-threads N      engine threads per simulation run; 0 = one per
-//!                           available core (default 1). Byte-identical output
-//!                           at every value.
 //!   --no-fast-forward       disable idle-cycle fast-forward (byte-identical
 //!                           output; exists so CI can smoke both paths)
 //!   --out PATH              output path                    (default BENCH_sweep.json)
@@ -169,8 +166,7 @@ fn usage(regs: &SweepRegistries) {
     println!("         --algos a,b|all --vcs n,.. --rates r,.. --warmup N");
     println!("         --measurement N --packet-len N --seed N --burst ON,OFF");
     println!("         --saturation --sat-range LO,HI --sat-iters N --threads N");
-    println!("         --engine-threads N --no-fast-forward --compact-tables");
-    println!("         --max-links N --max-hops N");
+    println!("         --no-fast-forward --compact-tables --max-links N --max-hops N");
     println!("         --out PATH --no-timings --list --list-topologies");
     println!("         --list-workloads --list-algorithms --help");
     println!(
@@ -349,19 +345,6 @@ fn parse_args(
                         .parse()
                         .map_err(|_| "bad --threads".to_string())?,
                 );
-            }
-            "--engine-threads" => {
-                let n: usize = value("--engine-threads")?
-                    .parse()
-                    .map_err(|_| "bad --engine-threads".to_string())?;
-                // 0 means one engine worker per available core.
-                spec.engine_threads = if n == 0 {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                } else {
-                    n
-                };
             }
             "--no-fast-forward" => spec.fast_forward = false,
             "--compact-tables" => spec.compact_tables = true,

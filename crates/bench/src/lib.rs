@@ -34,13 +34,12 @@ pub mod sweep;
 
 use bsor::{BsorAlgorithm, BsorBuilder, CdgStrategy, SelectorKind};
 use bsor_cdg::TurnModel;
-use bsor_flow::FlowSet;
 use bsor_lp::MilpOptions;
 use bsor_routing::selectors::{DijkstraSelector, MilpSelector};
-use bsor_routing::{Baseline, RouteSet};
+use bsor_routing::Baseline;
 use bsor_sim::{
     EvalPoint, Evaluator, ExperimentError, MarkovVariation, Planner, RouteAlgorithm, RoutePlan,
-    Scenario, SimConfig, SimEvaluator, Simulator, TrafficSpec,
+    Scenario, SimConfig, SimEvaluator,
 };
 use bsor_topology::Topology;
 use bsor_workloads::{h264_decoder, transpose, Workload};
@@ -166,30 +165,6 @@ pub fn algorithm_plans(
                 .map_err(|e| ExperimentError::from(e).to_string());
             (name, plan)
         })
-        .collect()
-}
-
-/// The six algorithms of [`standard_algorithms`], each yielding a
-/// validated route set for the workload through the scenario pipeline
-/// (errors as text).
-///
-/// **Superseded** by [`algorithm_plans`], which additionally carries
-/// the compiled tables and MCL; this shim keeps route-level callers
-/// working for one release.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `algorithm_plans` and read `RoutePlan::routes` — the plan also \
-            carries the certificate, tables and predicted MCL"
-)]
-pub fn algorithm_routes(
-    topo: &Topology,
-    workload: &Workload,
-    vcs: u8,
-    mode: RunMode,
-) -> Vec<(String, Result<RouteSet, String>)> {
-    algorithm_plans(topo, workload, vcs, mode)
-        .into_iter()
-        .map(|(name, plan)| (name, plan.map(|p| p.routes().clone())))
         .collect()
 }
 
@@ -334,46 +309,6 @@ pub fn plan_sweep(plan: &RoutePlan, offered_rates: &[f64], cfg: &SweepConfig) ->
                 throughput: ev.throughput,
                 latency: ev.mean_latency,
                 deadlocked: ev.deadlocked,
-            }
-        })
-        .collect()
-}
-
-/// Simulates one route set across a range of offered loads.
-///
-/// **Superseded** by [`plan_sweep`] (which reuses a plan's compiled
-/// tables instead of rebuilding them per point); kept for route-level
-/// callers for one release.
-#[deprecated(
-    since = "0.1.0",
-    note = "plan once (`Planner::plan` or `algorithm_plans`) and use `plan_sweep`, \
-            which reuses the plan's compiled node tables across points"
-)]
-pub fn load_sweep(
-    topo: &Topology,
-    flows: &FlowSet,
-    routes: &RouteSet,
-    offered_rates: &[f64],
-    cfg: &SweepConfig,
-) -> Vec<SweepPoint> {
-    offered_rates
-        .iter()
-        .map(|&rate| {
-            let mut traffic = TrafficSpec::proportional(flows, rate);
-            if let Some(v) = cfg.variation {
-                traffic = traffic.with_variation(v);
-            }
-            let sim_cfg = SimConfig::new(cfg.vcs)
-                .with_warmup(cfg.warmup)
-                .with_measurement(cfg.measurement);
-            let report = Simulator::new(topo, flows, routes, traffic, sim_cfg)
-                .expect("consistent sweep inputs")
-                .run();
-            SweepPoint {
-                offered: rate,
-                throughput: report.throughput(),
-                latency: report.mean_latency(),
-                deadlocked: report.deadlocked,
             }
         })
         .collect()
@@ -632,29 +567,6 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert!(points[0].offered < points[1].offered);
         assert!(points.iter().all(|p| !p.deadlocked));
-    }
-
-    #[test]
-    #[allow(deprecated)] // shim regression coverage until removal
-    fn deprecated_route_shims_match_the_plan_path() {
-        let topo = Topology::mesh2d(4, 4);
-        let w = bsor_workloads::transpose(&topo).expect("square");
-        let routes = scenario_for(&topo, &w, 2)
-            .select_routes(&Baseline::XY)
-            .expect("xy");
-        let cfg = SweepConfig {
-            warmup: 200,
-            measurement: 1_000,
-            vcs: 2,
-            variation: None,
-        };
-        let via_routes = load_sweep(&topo, &w.flows, &routes, &[0.05], &cfg);
-        let plan = Planner::new()
-            .plan(&scenario_for(&topo, &w, 2), &Baseline::XY)
-            .expect("xy");
-        let via_plan = plan_sweep(&plan, &[0.05], &cfg);
-        assert_eq!(via_routes[0].throughput, via_plan[0].throughput);
-        assert_eq!(via_routes[0].latency, via_plan[0].latency);
     }
 
     #[test]

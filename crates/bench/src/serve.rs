@@ -392,6 +392,11 @@ impl PlanService {
             .get("rate")
             .and_then(Json::as_f64)
             .ok_or_else(|| ServeError::BadRequest("missing number field 'rate'".to_owned()))?;
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(ServeError::BadRequest(format!(
+                "'rate' must be a finite number >= 0, got {rate}"
+            )));
+        }
         let backend = opt_str(request, "backend")?.unwrap_or("static");
         let (plan, _scenario) = self.plan(request)?;
         let mut config = SimConfig::new(plan.vcs())
@@ -400,6 +405,11 @@ impl PlanService {
         if let Some(packet_len) = opt_u64(request, "packet_len")? {
             let packet_len = usize::try_from(packet_len)
                 .map_err(|_| ServeError::BadRequest("'packet_len' out of range".to_owned()))?;
+            if packet_len == 0 {
+                return Err(ServeError::BadRequest(
+                    "'packet_len' must be at least 1 flit".to_owned(),
+                ));
+            }
             config = config.with_packet_len(packet_len);
         }
         if let Some(seed) = opt_u64(request, "seed")? {
@@ -670,6 +680,22 @@ mod tests {
             ),
             (
                 r#"{"op":"evaluate","workload":"transpose","algorithm":"xy"}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":-1,"backend":"sim"}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":-1}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":0.1,"packet_len":0,"backend":"sim"}"#,
+                "bad-request",
+            ),
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":0.1,"packet_len":0}"#,
                 "bad-request",
             ),
             (

@@ -213,15 +213,11 @@ pub struct GridSpec {
     /// When false, every wall-clock field in the JSON is zeroed so two
     /// runs of the same grid diff byte-identically.
     pub record_timings: bool,
-    /// Engine worker threads per simulation run (see
-    /// [`bsor_sim::SimConfig::engine_threads`]). Purely a wall-clock
-    /// knob: the engine is byte-deterministic at every value, and the
-    /// knob is deliberately *not* echoed in the JSON so sweeps at
-    /// different thread counts diff byte-identically.
-    pub engine_threads: usize,
     /// Idle-cycle fast-forward (see
-    /// [`bsor_sim::SimConfig::fast_forward`]). Also byte-invariant and
-    /// also not echoed in the JSON.
+    /// [`bsor_sim::SimConfig::fast_forward`]). Purely a wall-clock
+    /// knob: reports are byte-identical either way, and the knob is
+    /// deliberately *not* echoed in the JSON so sweeps with it on and
+    /// off diff byte-identically.
     pub fast_forward: bool,
     /// Optional on/off bursty injection applied to every run.
     pub burst: Option<BurstyOnOff>,
@@ -271,7 +267,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -293,7 +288,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -538,7 +532,6 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
             .with_measurement(spec.measurement)
             .with_packet_len(spec.packet_len)
             .with_seed(spec.seed)
-            .with_engine_threads(spec.engine_threads.max(1))
             .with_fast_forward(spec.fast_forward)
     };
     let point_for = |rate: f64| {
@@ -837,9 +830,9 @@ pub fn run_grid_stats(
 /// every pre-existing key and all cache-off/cache-on runs
 /// byte-identical. Each saturation object also carries an `outcome`
 /// label (`knee` / `censored` / `baseline-saturated`, see
-/// [`SaturationOutcome`]) — additive again, and `engine_threads` /
-/// `fast_forward` are deliberately absent from the document so runs at
-/// any engine configuration diff byte-identically. Each case further
+/// [`SaturationOutcome`]) — additive again, and `fast_forward` is
+/// deliberately absent from the document so runs with it on and off
+/// diff byte-identically. Each case further
 /// carries the measured `table_bytes` of its compiled routing tables
 /// and the grid echoes the `compact_tables` knob — the only two keys
 /// that differ between a compact and a dense sweep of the same grid,
@@ -1003,7 +996,6 @@ mod tests {
             packet_len: 4,
             seed: 7,
             record_timings: false,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -1276,7 +1268,6 @@ mod tests {
         spec.workloads = vec!["transpose".into()];
         spec.algorithms = vec!["xy".into()];
         let reference = sweep_json(&spec, &run_grid(&spec, 1), 1, 0.0).pretty();
-        spec.engine_threads = 4;
         spec.fast_forward = false;
         let tuned = sweep_json(&spec, &run_grid(&spec, 2), 2, 0.0).pretty();
         assert_eq!(

@@ -24,7 +24,6 @@ fn sat_spec() -> GridSpec {
         packet_len: 4,
         seed: 7,
         record_timings: false,
-        engine_threads: 1,
         fast_forward: true,
         burst: None,
         saturation: Some(SaturationSpec {

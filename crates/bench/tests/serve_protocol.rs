@@ -223,6 +223,63 @@ fn invalidate_rejects_out_of_range_node_ids() {
     );
 }
 
+/// A router with more than 256 out-links simulates, and out-of-range
+/// `rate` and `packet_len` values are refused by name on both backends;
+/// the server answers the line after each of them.
+#[test]
+fn wide_routers_simulate_and_bad_evaluate_fields_answer_typed() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("star300.topo");
+    let mut star = String::from("node hub\n");
+    for i in 0..300 {
+        star.push_str(&format!("link hub leaf{i}\n"));
+    }
+    std::fs::write(&path, star).expect("write the star topology");
+    let evaluate_star = format!(
+        r#"{{"id":1,"op":"evaluate","topology":"file:{}","workload":"hotspot:1","algorithm":"random-walk","vcs":1,"rate":0.1,"backend":"sim"}}"#,
+        path.display()
+    );
+    let script = [
+        evaluate_star.as_str(),
+        r#"{"id":2,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":-1,"backend":"sim"}"#,
+        r#"{"id":3,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":-1}"#,
+        r#"{"id":4,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":0.1,"packet_len":0,"backend":"sim"}"#,
+        r#"{"id":5,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":0.1,"packet_len":0}"#,
+        r#"{"id":6,"op":"stats"}"#,
+        "",
+    ]
+    .join("\n");
+    let lines = run_binary(&script);
+    assert_eq!(lines.len(), 6, "one response line per request line");
+    let parsed: Vec<Json> = lines
+        .iter()
+        .map(|line| Json::parse(line).expect("every response is valid JSON"))
+        .collect();
+    let ok = |i: usize| parsed[i].get("ok") == Some(&Json::Bool(true));
+    assert!(ok(0), "{}", lines[0]);
+    let star = parsed[0].get("result").expect("evaluation result");
+    assert!(star.get("delivered").and_then(Json::as_u64).unwrap() > 0);
+    for (i, field) in [
+        (1, "'rate'"),
+        (2, "'rate'"),
+        (3, "'packet_len'"),
+        (4, "'packet_len'"),
+    ] {
+        let error = parsed[i]
+            .get("error")
+            .expect("failed responses carry an error");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad-request")
+        );
+        let message = error
+            .get("message")
+            .and_then(Json::as_str)
+            .expect("message");
+        assert!(message.contains(field), "{message}");
+    }
+    assert!(ok(5), "the server answers after every refusal");
+}
+
 #[test]
 fn tcp_clients_share_one_plan_cache() {
     let service = Arc::new(PlanService::new(ServeConfig {

@@ -32,12 +32,6 @@ pub struct SimConfig {
     /// Chapter 4 (a flit sent at cycle `t` becomes usable downstream at
     /// `t + pipeline_latency`).
     pub pipeline_latency: u8,
-    /// Worker threads for the spatially partitioned engine. `1` (the
-    /// default) runs the single-threaded reference schedule; higher
-    /// values split grid topologies (mesh, torus) into column bands
-    /// executed by scoped workers. Results are byte-identical for every
-    /// value — non-grid topologies fall back to the serial schedule.
-    pub engine_threads: usize,
     /// Skip the router phases on cycles where the network is provably
     /// empty (no flits buffered, queued, or in the hop pipeline). The
     /// injection-schedule RNG still steps every cycle, so reports are
@@ -64,7 +58,6 @@ impl SimConfig {
             seed: 0xB50B,
             watchdog: 50_000,
             pipeline_latency: 1,
-            engine_threads: 1,
             fast_forward: true,
         }
     }
@@ -136,20 +129,6 @@ impl SimConfig {
     pub fn with_pipeline_latency(mut self, cycles: u8) -> Self {
         assert!(cycles > 0, "pipeline latency must be at least one cycle");
         self.pipeline_latency = cycles;
-        self
-    }
-
-    /// Sets the engine worker-thread count (see
-    /// [`SimConfig::engine_threads`]). The fixed-seed report is
-    /// byte-identical at every value; only wall-clock time changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "engine needs at least one thread");
-        self.engine_threads = threads;
         self
     }
 
@@ -264,17 +243,8 @@ mod tests {
     #[test]
     fn engine_knobs_default_to_serial_with_fast_forward() {
         let c = SimConfig::new(2);
-        assert_eq!(c.engine_threads, 1);
         assert!(c.fast_forward);
-        let c = c.with_engine_threads(4).with_fast_forward(false);
-        assert_eq!(c.engine_threads, 4);
-        assert!(!c.fast_forward);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn rejects_zero_engine_threads() {
-        let _ = SimConfig::new(2).with_engine_threads(0);
+        assert!(!c.with_fast_forward(false).fast_forward);
     }
 
     #[test]

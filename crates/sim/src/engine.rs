@@ -24,27 +24,15 @@
 //! is how the deadlock tests in this crate observe cyclic routings
 //! actually jam.
 //!
-//! # Execution strategies
+//! # Execution
 //!
-//! The engine runs the *same* router schedule three ways, all producing
+//! The engine runs one serial router schedule, two ways, both producing
 //! byte-identical reports for a fixed seed:
 //!
-//! * **Serial** (`engine_threads = 1`, the default): one pass over the
-//!   nodes per phase in node-id order, skipping nodes with no occupied
-//!   input buffer (an exact optimization — arbiter state only advances
-//!   when a candidate exists).
-//! * **Parallel** (`engine_threads > 1` on row-major grids: mesh, torus,
-//!   ring): the grid is split into contiguous column bands, one
-//!   `std::thread::scope` worker per band. The route phase is
-//!   node-parallel (VC claims never cross a node's own downstream
-//!   buffers). The switch phase sweeps rows as a wavefront — band `b`
-//!   enters row `y` only after band `b - 1` leaves it — which serializes
-//!   every pair of horizontally adjacent routers in exactly the serial
-//!   node order while letting bands pipeline across rows. Per-worker
-//!   outboxes (sent flits, freed packet slots) are merged at the cycle
-//!   barrier in fixed band order, so the merged stream equals the serial
-//!   one and results are independent of the thread count. Non-grid
-//!   topologies fall back to the serial schedule.
+//! * **Every cycle** (`fast_forward = false`): one pass over the nodes
+//!   per phase in node-id order, skipping nodes with no occupied input
+//!   buffer (an exact optimization — arbiter state only advances when a
+//!   candidate exists).
 //! * **Fast-forward** (`fast_forward`, default on): cycles where the
 //!   network is provably empty — no flit buffered in any VC, no backlog
 //!   in any source queue, nothing in the hop pipeline — skip the router
@@ -61,13 +49,11 @@ use crate::traffic::{BurstState, InjectionProcess, TrafficSpec, VariationState};
 use bsor_flow::{FlowId, FlowSet};
 use bsor_routing::tables::{NodeTables, RouteTables};
 use bsor_routing::RouteSet;
-use bsor_topology::{LinkId, NodeId, TopoIndex, Topology, TopologyKind};
+use bsor_topology::{LinkId, NodeId, TopoIndex, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 #[derive(Clone, Copy, Debug)]
@@ -126,217 +112,6 @@ struct PacketSlot {
     tracked: bool,
 }
 
-// ---------------------------------------------------------------------------
-// Shared-state cells
-//
-// The parallel schedule partitions every per-element array by *node
-// ownership*: during a phase, each element is accessed by exactly one
-// worker (the proofs live on the phase methods below). `ShardVec` and
-// `SlotVec` make that discipline expressible: they hand out element
-// references through `&self` so disjoint elements can be touched from
-// different scoped threads, and the `unsafe` contract is exactly the
-// ownership protocol.
-// ---------------------------------------------------------------------------
-
-/// A fixed-length array of interior-mutable elements shared across
-/// engine workers. Element access is unsynchronized; callers must
-/// guarantee that no element is aliased mutably (the engine's phase
-/// protocol assigns every element to exactly one worker at a time).
-struct ShardVec<T> {
-    cells: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: `ShardVec` only hands out element references under the
-// caller-guaranteed disjointness protocol; with `T: Send` the elements
-// may be mutated from whichever thread owns them for the phase.
-unsafe impl<T: Send> Sync for ShardVec<T> {}
-
-impl<T> Default for ShardVec<T> {
-    fn default() -> Self {
-        ShardVec { cells: Vec::new() }
-    }
-}
-
-impl<T> ShardVec<T> {
-    fn from_fn(n: usize, mut f: impl FnMut() -> T) -> Self {
-        ShardVec {
-            cells: (0..n).map(|_| UnsafeCell::new(f())).collect(),
-        }
-    }
-
-    fn from_cells(cells: Vec<UnsafeCell<T>>) -> Self {
-        ShardVec { cells }
-    }
-
-    fn into_cells(self) -> Vec<UnsafeCell<T>> {
-        self.cells
-    }
-
-    /// # Safety
-    ///
-    /// No thread may hold a mutable reference to element `i`.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> &T {
-        debug_assert!(i < self.cells.len());
-        &*self.cells[i].get()
-    }
-
-    /// # Safety
-    ///
-    /// The caller must be the unique accessor of element `i` for the
-    /// lifetime of the returned reference (the phase ownership protocol).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.cells.len());
-        &mut *self.cells[i].get()
-    }
-
-    /// Clones every element out. `&mut self` proves exclusivity, so this
-    /// needs no unsafe contract.
-    fn snapshot(&mut self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.cells.iter_mut().map(|c| c.get_mut().clone()).collect()
-    }
-}
-
-/// The growable packet-slot arena, shared like a [`ShardVec`] but
-/// appendable from `&self` while workers are parked between cycles.
-/// Element access goes through a cached raw data pointer so no `&mut
-/// Vec` (which would assert unique access to *all* slots) is ever
-/// materialized while workers hold element references.
-struct SlotVec {
-    vec: UnsafeCell<Vec<PacketSlot>>,
-    data: Cell<*mut PacketSlot>,
-    len: Cell<usize>,
-}
-
-// SAFETY: same disjoint-element protocol as `ShardVec`; `push` is
-// restricted to the serial windows between cycle barriers.
-unsafe impl Sync for SlotVec {}
-
-impl SlotVec {
-    fn new() -> SlotVec {
-        SlotVec {
-            vec: UnsafeCell::new(Vec::new()),
-            data: Cell::new(std::ptr::null_mut()),
-            len: Cell::new(0),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Only callable while no thread holds any slot reference (the
-    /// serial window of the cycle loop): growth may reallocate and
-    /// invalidate every element pointer.
-    unsafe fn push(&self, slot: PacketSlot) -> u32 {
-        let v = &mut *self.vec.get();
-        let id = u32::try_from(v.len()).expect("live packets exceed u32 slots");
-        v.push(slot);
-        self.data.set(v.as_mut_ptr());
-        self.len.set(v.len());
-        id
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be in bounds and no thread may be mutating slot `i`.
-    #[inline]
-    unsafe fn slot(&self, i: usize) -> PacketSlot {
-        debug_assert!(i < self.len.get());
-        *self.data.get().add(i)
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be in bounds and the caller must be the unique accessor
-    /// of slot `i` for the lifetime of the returned reference.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slot_mut(&self, i: usize) -> &mut PacketSlot {
-        debug_assert!(i < self.len.get());
-        &mut *self.data.get().add(i)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cycle synchronization
-// ---------------------------------------------------------------------------
-
-/// A reusable generation-counting barrier. Parties spin briefly (the
-/// cheap case: all workers active on separate cores), then fall back to
-/// a condvar (the polite case: oversubscribed machines).
-struct CycleBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl CycleBarrier {
-    fn new(parties: usize) -> CycleBarrier {
-        CycleBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arriver: reset the count for the next round (late
-            // re-arrivers RMW the latest value, so Relaxed suffices),
-            // then open the generation under the lock so condvar
-            // waiters cannot miss the wakeup.
-            self.arrived.store(0, Ordering::Relaxed);
-            let _held = self.lock.lock().expect("barrier mutex");
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            self.cv.notify_all();
-        } else {
-            for _ in 0..128 {
-                if self.generation.load(Ordering::Acquire) != gen {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-            let mut guard = self.lock.lock().expect("barrier mutex");
-            while self.generation.load(Ordering::Acquire) == gen {
-                guard = self.cv.wait(guard).expect("barrier condvar");
-            }
-        }
-    }
-}
-
-/// Spin-then-yield wait until a wavefront row counter reaches `target`.
-#[inline]
-fn wait_row(progress: &AtomicU64, target: u64) {
-    let mut spins = 0u32;
-    while progress.load(Ordering::Acquire) < target {
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            // On oversubscribed (or single-core) machines the producer
-            // band needs the CPU to make the row progress we wait for.
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// One contiguous column range `[x0, x1)` of a row-major grid.
-#[derive(Clone, Copy, Debug)]
-struct Band {
-    x0: usize,
-    x1: usize,
-}
-
 /// Per-cycle facts every phase needs.
 #[derive(Clone, Copy, Debug)]
 struct CycleCtx {
@@ -344,60 +119,10 @@ struct CycleCtx {
     measuring: bool,
 }
 
-/// What the main thread publishes to workers before barrier A.
-#[derive(Clone, Copy, Debug)]
-struct CycleCtl {
-    ctx: CycleCtx,
-    /// Monotone base for the wavefront row counters this cycle
-    /// (`row_progress[band]` stores `row_base + row + 1`; monotonicity
-    /// means the counters never need resetting).
-    row_base: u64,
-    done: bool,
-}
-
-/// The control word, written by the main thread while workers are
-/// parked at barrier A and read by workers right after it.
-struct CtlCell(UnsafeCell<CycleCtl>);
-
-// SAFETY: writes and reads are separated by the cycle barrier.
-unsafe impl Sync for CtlCell {}
-
-impl CtlCell {
-    fn new() -> CtlCell {
-        CtlCell(UnsafeCell::new(CycleCtl {
-            ctx: CycleCtx {
-                cycle: 0,
-                measuring: false,
-            },
-            row_base: 0,
-            done: false,
-        }))
-    }
-
-    /// # Safety
-    ///
-    /// Only callable while all workers are parked at barrier A.
-    unsafe fn publish(&self, ctl: CycleCtl) {
-        *self.0.get() = ctl;
-    }
-
-    /// # Safety
-    ///
-    /// Only callable after passing barrier A (which orders the read
-    /// after the main thread's `publish`).
-    unsafe fn read(&self) -> CycleCtl {
-        *self.0.get()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-worker state
-// ---------------------------------------------------------------------------
-
 /// Scratch buffers reused across cycles so the per-cycle loop never
-/// allocates. Taken out of the worker box while `switch_node` iterates
-/// (to sidestep aliasing with the `&mut WorkerBox` the move/eject calls
-/// need) and put back when the node finishes.
+/// allocates. Taken out of the [`Network`] while `switch_node` iterates
+/// (so the move/eject calls can borrow the network mutably) and put
+/// back when the node finishes.
 #[derive(Clone, Debug, Default)]
 struct SwitchScratch {
     /// `port_forwarded` flags, sized to the widest router.
@@ -414,45 +139,6 @@ struct SwitchScratch {
     outs: Vec<LinkId>,
 }
 
-/// Everything one band worker accumulates during a cycle. Merged by the
-/// main thread between barrier C and the next barrier A, in fixed band
-/// order — which makes the merged streams identical to the serial
-/// engine's regardless of thread count.
-#[derive(Clone, Debug, Default)]
-struct WorkerBox {
-    scratch: SwitchScratch,
-    /// Flits sent this cycle: (flat destination buffer, flit), in this
-    /// band's serial discovery order.
-    outbox: Vec<(u32, Flit)>,
-    /// Packet slots freed by tail ejections this cycle.
-    released: Vec<u32>,
-    /// Flits moved from source queues into injection buffers.
-    injected_flits: u64,
-    /// Flits ejected (all of them, measured or not).
-    ejected_flits: u64,
-    /// Measured-window ejected flits.
-    delivered_flits: u64,
-    /// Measured-window delivered packets (tail ejections).
-    delivered_packets: u64,
-    /// Whether any flit moved in this band this cycle.
-    progress: bool,
-}
-
-impl WorkerBox {
-    fn new(max_ports: usize, max_out_degree: usize, vcs: usize) -> WorkerBox {
-        WorkerBox {
-            scratch: SwitchScratch {
-                port_forwarded: vec![false; max_ports],
-                forward: vec![Vec::with_capacity(max_ports * vcs); max_out_degree],
-                eject: Vec::with_capacity(max_ports * vcs),
-                eligible: Vec::with_capacity(max_ports * vcs),
-                outs: Vec::with_capacity(max_out_degree),
-            },
-            ..WorkerBox::default()
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Cross-case arena reuse
 // ---------------------------------------------------------------------------
@@ -463,8 +149,8 @@ impl WorkerBox {
 /// `(links + nodes) * vcs` of them per case.
 #[derive(Default)]
 struct EngineArena {
-    bufs: Vec<UnsafeCell<VecDeque<Flit>>>,
-    srcs: Vec<UnsafeCell<VecDeque<Flit>>>,
+    bufs: Vec<VecDeque<Flit>>,
+    srcs: Vec<VecDeque<Flit>>,
 }
 
 thread_local! {
@@ -472,61 +158,41 @@ thread_local! {
 }
 
 // ---------------------------------------------------------------------------
-// Shared router state
+// Network state
 // ---------------------------------------------------------------------------
 
-/// All router state touched by the per-node phase methods, stored as
-/// structure-of-arrays so that cross-node accesses (a router claiming a
-/// VC in its *downstream* neighbor's buffer, or checking its occupancy)
-/// land in different arrays than the fields the neighbor itself mutates.
+/// All router and run state the cycle loop mutates, stored as
+/// structure-of-arrays over the dense indices of a [`TopoIndex`].
 ///
-/// Buffer indexing matches the previous engine: the buffer downstream of
-/// link `l` on VC `v` is index `l * vcs + v`; node `n`'s injection-port
-/// buffer on VC `v` is `inj_base + n * vcs + v`.
-///
-/// # Phase ownership protocol (what makes the `unsafe` sound)
-///
-/// * **Route** (fully node-parallel): node `n` reads `flits[r].front()`
-///   and rewrites `state[r]` only for its own input buffers `r`, and
-///   writes `owner[d]` only for buffers `d` downstream of its own
-///   out-links. Every buffer has exactly one upstream router, so no two
-///   nodes touch the same element, and `state`/`owner` are distinct
-///   arrays, so the downstream node's own route pass never aliases.
-/// * **Switch** (row wavefront): node `n` pops its own input buffers and
-///   reads `flits[d].len() + transit_counts[d]` of its downstream
-///   buffers. The wavefront orders every horizontally adjacent pair
-///   (the only cross-band neighbors) exactly as the serial node order;
-///   vertical neighbors share a band and run on one thread.
-/// * **Inject** (fully node-parallel): touches only node-local state
-///   (source queue, injection buffers, `node_occ[n]`) plus the
-///   `entry_cycle` of a packet that is only now entering the network —
-///   which therefore cannot be concurrently ejecting anywhere.
-/// * **Stats**: a flow ejects only at its single route endpoint, so
-///   `stats[flow]` is written by exactly one node (one band).
-/// * Everything else (generation, arrival delivery, outbox merging)
-///   runs on the main thread while workers are parked at a barrier.
-struct Shared {
+/// Buffer indexing: the buffer downstream of link `l` on VC `v` is
+/// index `l * vcs + v`; node `n`'s injection-port buffer on VC `v` is
+/// `inj_base + n * vcs + v`.
+struct Network {
     /// Flit queues per VC buffer (link buffers, then injection buffers).
-    flits: ShardVec<VecDeque<Flit>>,
+    flits: Vec<VecDeque<Flit>>,
     /// Packet currently allowed to occupy each buffer (atomic VCs).
-    owner: ShardVec<Option<u32>>,
+    owner: Vec<Option<u32>>,
     /// RC/VA control state per buffer.
-    state: ShardVec<PortState>,
+    state: Vec<PortState>,
     /// Undelivered flits already bound for each link buffer (claims
-    /// buffer slots ahead of arrival). Link buffers only.
-    transit_counts: ShardVec<u8>,
+    /// buffer slots ahead of arrival). Link buffers only; at most
+    /// `pipeline_latency` per buffer, since a link moves one flit per
+    /// cycle.
+    transit_counts: Vec<u8>,
     /// Number of non-empty input buffers per node. Nodes at zero are
     /// skipped by the route and switch phases — an exact optimization,
     /// since arbiters only advance when a candidate exists.
-    node_occ: ShardVec<u32>,
+    node_occ: Vec<u32>,
     /// Per-node source queues (whole packets, flit by flit).
-    src_queues: ShardVec<VecDeque<Flit>>,
-    inj_progress: ShardVec<Option<InjectionProgress>>,
-    rr_out: ShardVec<usize>,
-    rr_eject: ShardVec<usize>,
-    link_flits: ShardVec<u64>,
-    stats: ShardVec<FlowStats>,
-    slots: SlotVec,
+    src_queues: Vec<VecDeque<Flit>>,
+    inj_progress: Vec<Option<InjectionProgress>>,
+    rr_out: Vec<usize>,
+    rr_eject: Vec<usize>,
+    link_flits: Vec<u64>,
+    stats: Vec<FlowStats>,
+    slots: Vec<PacketSlot>,
+    /// Recycled packet-slot ids.
+    free_slots: Vec<u32>,
 
     /// CSR of each node's input buffers in arbitration order (every
     /// in-link's VCs, then the injection VCs): node `n` reads
@@ -534,346 +200,32 @@ struct Shared {
     node_inputs: Vec<u32>,
     node_input_off: Vec<u32>,
     /// Each link's position within its source node's out-link list.
-    link_out_pos: Vec<u8>,
+    link_out_pos: Vec<u32>,
     /// Owning (downstream) node of every buffer.
     buf_node: Vec<u32>,
     /// Offset of the first injection-port buffer.
     inj_base: u32,
+    scratch: SwitchScratch,
 
     vcs: usize,
     buffer_depth: usize,
     local_bandwidth: usize,
     packet_len: usize,
-}
 
-impl Shared {
-    /// RC + VA for every input buffer of node `n`.
-    ///
-    /// # Safety
-    ///
-    /// Route-phase ownership: the caller must be the unique worker
-    /// processing node `n` this phase, with no concurrent switch or
-    /// serial-window activity.
-    unsafe fn route_node<T: RouteTables>(&self, n: usize, tables: &T) {
-        let node = NodeId(n as u32);
-        let start = self.node_input_off[n] as usize;
-        let end = self.node_input_off[n + 1] as usize;
-        for &r in &self.node_inputs[start..end] {
-            let r = r as usize;
-            let Some(front) = self.flits.get(r).front().copied() else {
-                continue;
-            };
-            let state = self.state.get_mut(r);
-            // RC: a head flit at the front of an Idle buffer gets routed.
-            if *state == PortState::Idle {
-                debug_assert!(front.is_head, "body flit at front of idle buffer");
-                *state = match front.cursor {
-                    None => PortState::Active {
-                        out: OutKind::Eject,
-                        out_vc: 0,
-                        next_cursor: None,
-                    },
-                    Some(idx) => {
-                        let entry = tables.entry(node, idx);
-                        PortState::Routed {
-                            out: entry.out_link,
-                            mask: entry.vcs.0,
-                            next_cursor: entry.next_index,
-                        }
-                    }
-                };
-            }
-            // VA: try to claim a downstream VC within the mask.
-            if let PortState::Routed {
-                out,
-                mask,
-                next_cursor,
-            } = *state
-            {
-                let out_base = out.index() * self.vcs;
-                let chosen = (0..self.vcs as u8)
-                    .filter(|v| mask & (1 << v) != 0)
-                    .find(|&v| self.owner.get(out_base + v as usize).is_none());
-                if let Some(v) = chosen {
-                    *self.owner.get_mut(out_base + v as usize) = Some(front.packet);
-                    *state = PortState::Active {
-                        out: OutKind::Forward(out),
-                        out_vc: v,
-                        next_cursor,
-                    };
-                }
-            }
-        }
-    }
-
-    /// SA + ST for node `n`.
-    ///
-    /// One pass over the node's input buffers buckets forward candidates
-    /// per output link and collects eject candidates; the per-output and
-    /// per-eject arbitration then works off the buckets. This visits each
-    /// buffer once instead of once per output channel, and is exactly
-    /// equivalent to rescanning: within a node, a move on output `X` can
-    /// only change `X`'s own downstream occupancy (checked before any
-    /// move) and the mover's port flag (filtered at pick time), and
-    /// ejections only mutate the ejecting buffer itself.
-    ///
-    /// # Safety
-    ///
-    /// Switch-phase ownership: the caller must be the unique worker
-    /// processing node `n`, and the row wavefront must have retired both
-    /// horizontal neighbors' conflicting rows (or the run is serial).
-    unsafe fn switch_node(&self, n: usize, index: &TopoIndex, ctx: CycleCtx, wb: &mut WorkerBox) {
-        let node = NodeId(n as u32);
-        let vcs = self.vcs;
-        let ports_start = self.node_input_off[n] as usize;
-        let ports_end = self.node_input_off[n + 1] as usize;
-        let num_ports = (ports_end - ports_start) / vcs;
-        // Detach the scratch so the arbitration loops can pass `wb`
-        // mutably to `move_flit`/`eject_flit`.
-        let mut scratch = std::mem::take(&mut wb.scratch);
-        scratch.port_forwarded[..num_ports].fill(false);
-        scratch.outs.clear();
-        scratch.outs.extend_from_slice(index.out_links(node));
-        for bucket in &mut scratch.forward[..scratch.outs.len()] {
-            bucket.clear();
-        }
-        scratch.eject.clear();
-
-        // Single scan: sort every occupied, allocated buffer front into
-        // its output's bucket (space permitting) or the eject list, in
-        // input order.
-        for bi in 0..ports_end - ports_start {
-            let r = self.node_inputs[ports_start + bi];
-            if self.flits.get(r as usize).is_empty() {
-                continue;
-            }
-            match *self.state.get(r as usize) {
-                PortState::Active {
-                    out: OutKind::Forward(l),
-                    out_vc,
-                    ..
-                } => {
-                    let dst = l.index() * vcs + out_vc as usize;
-                    let occupied =
-                        self.flits.get(dst).len() + *self.transit_counts.get(dst) as usize;
-                    if occupied < self.buffer_depth {
-                        scratch.forward[self.link_out_pos[l.index()] as usize]
-                            .push(((bi / vcs) as u32, r));
-                    }
-                }
-                PortState::Active {
-                    out: OutKind::Eject,
-                    ..
-                } => scratch.eject.push(((bi / vcs) as u32, r)),
-                _ => {}
-            }
-        }
-
-        // Forward outputs: one flit per output channel and per input
-        // port per cycle.
-        for (oi, &out) in scratch.outs.iter().enumerate() {
-            scratch.eligible.clear();
-            scratch.eligible.extend(
-                scratch.forward[oi]
-                    .iter()
-                    .copied()
-                    .filter(|&(port, _)| !scratch.port_forwarded[port as usize]),
-            );
-            if scratch.eligible.is_empty() {
-                continue;
-            }
-            let rr = self.rr_out.get_mut(out.index());
-            let pick = *rr % scratch.eligible.len();
-            *rr = rr.wrapping_add(1);
-            let (port, r) = scratch.eligible[pick];
-            scratch.port_forwarded[port as usize] = true;
-            self.move_flit(r as usize, out, ctx, wb);
-        }
-
-        // Ejection: up to local_bandwidth flits per cycle (the 4×
-        // resource channel); independent of the forward crossbar.
-        // After each ejection only the picked buffer can drop out of
-        // the candidate list, so the list shrinks in place.
-        let mut budget = self.local_bandwidth;
-        while budget > 0 && !scratch.eject.is_empty() {
-            let rr = self.rr_eject.get_mut(n);
-            let pick = *rr % scratch.eject.len();
-            *rr = rr.wrapping_add(1);
-            let (_, r) = scratch.eject[pick];
-            self.eject_flit(r as usize, ctx, wb);
-            budget -= 1;
-            let still_candidate = !self.flits.get(r as usize).is_empty()
-                && matches!(
-                    *self.state.get(r as usize),
-                    PortState::Active {
-                        out: OutKind::Eject,
-                        ..
-                    }
-                );
-            if !still_candidate {
-                scratch.eject.remove(pick);
-            }
-        }
-        wb.scratch = scratch;
-    }
-
-    /// # Safety
-    ///
-    /// Switch-phase ownership of node `buf_node[r]` (see `switch_node`).
-    unsafe fn move_flit(&self, r: usize, out: LinkId, ctx: CycleCtx, wb: &mut WorkerBox) {
-        let state = self.state.get_mut(r);
-        let (out_vc, next_cursor) = match *state {
-            PortState::Active {
-                out_vc,
-                next_cursor,
-                ..
-            } => (out_vc, next_cursor),
-            _ => unreachable!("move_flit on non-active buffer"),
-        };
-        let queue = self.flits.get_mut(r);
-        let mut flit = queue.pop_front().expect("candidate had a front flit");
-        if flit.is_head {
-            flit.cursor = next_cursor;
-        }
-        if flit.is_tail {
-            // The vacated buffer frees its ownership and control state.
-            *self.owner.get_mut(r) = None;
-            *state = PortState::Idle;
-        }
-        if queue.is_empty() {
-            *self.node_occ.get_mut(self.buf_node[r] as usize) -= 1;
-        }
-        let dst = out.index() * self.vcs + out_vc as usize;
-        *self.transit_counts.get_mut(dst) += 1;
-        wb.outbox.push((dst as u32, flit));
-        if ctx.measuring {
-            *self.link_flits.get_mut(out.index()) += 1;
-        }
-        wb.progress = true;
-    }
-
-    /// # Safety
-    ///
-    /// Switch-phase ownership of node `buf_node[r]` (see `switch_node`);
-    /// additionally relies on each flow ejecting at a single node for
-    /// the `stats` write.
-    unsafe fn eject_flit(&self, r: usize, ctx: CycleCtx, wb: &mut WorkerBox) {
-        let queue = self.flits.get_mut(r);
-        let flit = queue.pop_front().expect("candidate had a front flit");
-        if flit.is_tail {
-            *self.owner.get_mut(r) = None;
-            *self.state.get_mut(r) = PortState::Idle;
-        }
-        if queue.is_empty() {
-            *self.node_occ.get_mut(self.buf_node[r] as usize) -= 1;
-        }
-        wb.ejected_flits += 1;
-        if ctx.measuring {
-            wb.delivered_flits += 1;
-        }
-        if flit.is_tail {
-            if ctx.measuring {
-                self.stats.get_mut(flit.flow.index()).delivered += 1;
-                wb.delivered_packets += 1;
-            }
-            let slot = self.slots.slot(flit.packet as usize);
-            wb.released.push(flit.packet);
-            if slot.tracked {
-                let latency = ctx.cycle - slot.entry_cycle;
-                let fs = self.stats.get_mut(flit.flow.index());
-                fs.latency_sum += latency;
-                fs.latency_count += 1;
-                fs.latency_max = fs.latency_max.max(latency);
-                fs.histogram.record(latency);
-            }
-        }
-        wb.progress = true;
-    }
-
-    /// Moves flits from node `n`'s source queue into its injection-port
-    /// buffers.
-    ///
-    /// # Safety
-    ///
-    /// Inject-phase ownership of node `n` (all state touched is local
-    /// to the node, plus the entry stamp of a packet entering here).
-    unsafe fn inject_node(&self, n: usize, ctx: CycleCtx, wb: &mut WorkerBox) {
-        let vcs = self.vcs;
-        let inj_base = self.inj_base as usize;
-        let src = self.src_queues.get_mut(n);
-        let progress_slot = self.inj_progress.get_mut(n);
-        let mut budget = self.local_bandwidth;
-        while budget > 0 && !src.is_empty() {
-            match *progress_slot {
-                Some(InjectionProgress { vc, remaining }) => {
-                    let b = inj_base + n * vcs + vc as usize;
-                    let queue = self.flits.get_mut(b);
-                    if queue.len() >= self.buffer_depth {
-                        break;
-                    }
-                    let flit = src.pop_front().expect("nonempty");
-                    if queue.is_empty() {
-                        *self.node_occ.get_mut(n) += 1;
-                    }
-                    queue.push_back(flit);
-                    wb.injected_flits += 1;
-                    wb.progress = true;
-                    budget -= 1;
-                    *progress_slot = (remaining > 1).then_some(InjectionProgress {
-                        vc,
-                        remaining: remaining - 1,
-                    });
-                }
-                None => {
-                    let head = *src.front().expect("nonempty");
-                    debug_assert!(head.is_head, "packet streams are contiguous");
-                    let chosen = (0..vcs as u8).find(|&v| {
-                        let b = inj_base + n * vcs + v as usize;
-                        self.owner.get(b).is_none() && self.flits.get(b).len() < self.buffer_depth
-                    });
-                    let Some(v) = chosen else { break };
-                    let flit = src.pop_front().expect("nonempty");
-                    let b = inj_base + n * vcs + v as usize;
-                    *self.owner.get_mut(b) = Some(head.packet);
-                    let queue = self.flits.get_mut(b);
-                    if queue.is_empty() {
-                        *self.node_occ.get_mut(n) += 1;
-                    }
-                    queue.push_back(flit);
-                    wb.injected_flits += 1;
-                    self.slots.slot_mut(head.packet as usize).entry_cycle = ctx.cycle;
-                    wb.progress = true;
-                    budget -= 1;
-                    if self.packet_len > 1 {
-                        *progress_slot = Some(InjectionProgress {
-                            vc: v,
-                            remaining: self.packet_len - 1,
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serial-window state (generation, pipeline, counters)
-// ---------------------------------------------------------------------------
-
-/// Engine state only ever touched on the main thread, in the serial
-/// windows between cycle barriers (or anywhere in a serial run).
-struct SerState {
     rng: StdRng,
     var_states: Vec<VariationState>,
     burst_states: Vec<BurstState>,
-    /// Recycled packet-slot ids.
-    free_slots: Vec<u32>,
+    /// Flits sent this cycle: (flat destination buffer, flit), in
+    /// switch order.
+    sends: Vec<(u32, Flit)>,
     /// Arrivals in flight through the router pipeline: the back slot is
-    /// this cycle's sends, the front slot delivers after
+    /// the latest cycle's sends, the front slot delivers after
     /// `pipeline_latency` cycles.
     in_transit: VecDeque<Vec<(u32, Flit)>>,
     /// Emptied send vectors kept for reuse (zero steady-state allocs).
     spare_sends: Vec<Vec<(u32, Flit)>>,
+    /// Whether any flit moved this cycle.
+    progress: bool,
     in_network_flits: u64,
     /// Flits sitting in source queues, waiting to be injected.
     backlog_flits: u64,
@@ -884,7 +236,7 @@ struct SerState {
     delivered_flits: u64,
 }
 
-impl SerState {
+impl Network {
     fn measuring(&self, config: &SimConfig) -> bool {
         self.cycle >= config.warmup && self.cycle < config.warmup + config.measurement
     }
@@ -898,15 +250,10 @@ impl SerState {
     }
 
     /// Packet generation for one cycle. Consumes the RNG stream
-    /// identically on every execution path (serial, parallel,
-    /// fast-forwarded), which is what keeps reports byte-identical.
-    ///
-    /// # Safety
-    ///
-    /// Serial window: all workers parked at a barrier (or serial run).
-    unsafe fn generate<T: RouteTables>(
+    /// identically whether or not the cycle is fast-forwarded, which is
+    /// what keeps reports byte-identical.
+    fn generate<T: RouteTables>(
         &mut self,
-        sh: &Shared,
         flows: &FlowSet,
         traffic: &TrafficSpec,
         tables: &T,
@@ -942,14 +289,19 @@ impl SerState {
                     };
                     let packet = match self.free_slots.pop() {
                         Some(id) => {
-                            *sh.slots.slot_mut(id as usize) = slot;
+                            self.slots[id as usize] = slot;
                             id
                         }
-                        None => sh.slots.push(slot),
+                        None => {
+                            let id = u32::try_from(self.slots.len())
+                                .expect("live packets exceed u32 slots");
+                            self.slots.push(slot);
+                            id
+                        }
                     };
                     let len = config.packet_len;
                     let cursor = Some(tables.initial_cursor(flow.id));
-                    let queue = sh.src_queues.get_mut(flow.src.index());
+                    let queue = &mut self.src_queues[flow.src.index()];
                     for k in 0..len {
                         queue.push_back(Flit {
                             packet,
@@ -961,7 +313,7 @@ impl SerState {
                     }
                     self.backlog_flits += len as u64;
                     if measuring {
-                        sh.stats.get_mut(flow.id.index()).generated += 1;
+                        self.stats[flow.id.index()].generated += 1;
                         self.generated_total += 1;
                     }
                 }
@@ -970,39 +322,294 @@ impl SerState {
         }
     }
 
-    /// End-of-cycle bookkeeping: merge the worker boxes in fixed band
-    /// order, advance the hop pipeline, deliver arrivals. Returns
-    /// whether any flit moved this cycle.
-    ///
-    /// # Safety
-    ///
-    /// Serial window: all workers parked at a barrier (or serial run).
-    unsafe fn finish_cycle(
-        &mut self,
-        sh: &Shared,
-        boxes: &ShardVec<WorkerBox>,
-        bands: usize,
-        pipeline_latency: usize,
-    ) -> bool {
-        let mut progress = false;
-        let mut sends = self.spare_sends.pop().unwrap_or_default();
-        for b in 0..bands {
-            let wb = boxes.get_mut(b);
-            progress |= std::mem::take(&mut wb.progress);
-            sends.append(&mut wb.outbox);
-            self.free_slots.append(&mut wb.released);
-            self.in_network_flits += wb.injected_flits;
-            self.in_network_flits -= wb.ejected_flits;
-            self.backlog_flits -= wb.injected_flits;
-            self.delivered_flits += wb.delivered_flits;
-            self.delivered_total += wb.delivered_packets;
-            wb.injected_flits = 0;
-            wb.ejected_flits = 0;
-            wb.delivered_flits = 0;
-            wb.delivered_packets = 0;
+    /// RC + VA for every input buffer of node `n`.
+    fn route_node<T: RouteTables>(&mut self, n: usize, tables: &T) {
+        let node = NodeId(n as u32);
+        let start = self.node_input_off[n] as usize;
+        let end = self.node_input_off[n + 1] as usize;
+        for &r in &self.node_inputs[start..end] {
+            let r = r as usize;
+            let Some(front) = self.flits[r].front().copied() else {
+                continue;
+            };
+            let state = &mut self.state[r];
+            // RC: a head flit at the front of an Idle buffer gets routed.
+            if *state == PortState::Idle {
+                debug_assert!(front.is_head, "body flit at front of idle buffer");
+                *state = match front.cursor {
+                    None => PortState::Active {
+                        out: OutKind::Eject,
+                        out_vc: 0,
+                        next_cursor: None,
+                    },
+                    Some(idx) => {
+                        let entry = tables.entry(node, idx);
+                        PortState::Routed {
+                            out: entry.out_link,
+                            mask: entry.vcs.0,
+                            next_cursor: entry.next_index,
+                        }
+                    }
+                };
+            }
+            // VA: try to claim a downstream VC within the mask.
+            if let PortState::Routed {
+                out,
+                mask,
+                next_cursor,
+            } = *state
+            {
+                let out_base = out.index() * self.vcs;
+                let chosen = (0..self.vcs as u8)
+                    .filter(|v| mask & (1 << v) != 0)
+                    .find(|&v| self.owner[out_base + v as usize].is_none());
+                if let Some(v) = chosen {
+                    self.owner[out_base + v as usize] = Some(front.packet);
+                    *state = PortState::Active {
+                        out: OutKind::Forward(out),
+                        out_vc: v,
+                        next_cursor,
+                    };
+                }
+            }
         }
+    }
+
+    /// SA + ST for node `n`.
+    ///
+    /// One pass over the node's input buffers buckets forward candidates
+    /// per output link and collects eject candidates; the per-output and
+    /// per-eject arbitration then works off the buckets. This visits each
+    /// buffer once instead of once per output channel, and is exactly
+    /// equivalent to rescanning: within a node, a move on output `X` can
+    /// only change `X`'s own downstream occupancy (checked before any
+    /// move) and the mover's port flag (filtered at pick time), and
+    /// ejections only mutate the ejecting buffer itself.
+    fn switch_node(&mut self, n: usize, index: &TopoIndex, ctx: CycleCtx) {
+        let node = NodeId(n as u32);
+        let vcs = self.vcs;
+        let ports_start = self.node_input_off[n] as usize;
+        let ports_end = self.node_input_off[n + 1] as usize;
+        let num_ports = (ports_end - ports_start) / vcs;
+        // Detach the scratch so the arbitration loops can call
+        // `move_flit`/`eject_flit` on `self`.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.port_forwarded[..num_ports].fill(false);
+        scratch.outs.clear();
+        scratch.outs.extend_from_slice(index.out_links(node));
+        for bucket in &mut scratch.forward[..scratch.outs.len()] {
+            bucket.clear();
+        }
+        scratch.eject.clear();
+
+        // Single scan: sort every occupied, allocated buffer front into
+        // its output's bucket (space permitting) or the eject list, in
+        // input order.
+        for bi in 0..ports_end - ports_start {
+            let r = self.node_inputs[ports_start + bi];
+            if self.flits[r as usize].is_empty() {
+                continue;
+            }
+            match self.state[r as usize] {
+                PortState::Active {
+                    out: OutKind::Forward(l),
+                    out_vc,
+                    ..
+                } => {
+                    let dst = l.index() * vcs + out_vc as usize;
+                    let occupied = self.flits[dst].len() + self.transit_counts[dst] as usize;
+                    if occupied < self.buffer_depth {
+                        scratch.forward[self.link_out_pos[l.index()] as usize]
+                            .push(((bi / vcs) as u32, r));
+                    }
+                }
+                PortState::Active {
+                    out: OutKind::Eject,
+                    ..
+                } => scratch.eject.push(((bi / vcs) as u32, r)),
+                _ => {}
+            }
+        }
+
+        // Forward outputs: one flit per output channel and per input
+        // port per cycle.
+        for (oi, &out) in scratch.outs.iter().enumerate() {
+            scratch.eligible.clear();
+            scratch.eligible.extend(
+                scratch.forward[oi]
+                    .iter()
+                    .copied()
+                    .filter(|&(port, _)| !scratch.port_forwarded[port as usize]),
+            );
+            if scratch.eligible.is_empty() {
+                continue;
+            }
+            let rr = &mut self.rr_out[out.index()];
+            let pick = *rr % scratch.eligible.len();
+            *rr = rr.wrapping_add(1);
+            let (port, r) = scratch.eligible[pick];
+            scratch.port_forwarded[port as usize] = true;
+            self.move_flit(r as usize, out, ctx);
+        }
+
+        // Ejection: up to local_bandwidth flits per cycle (the 4×
+        // resource channel); independent of the forward crossbar.
+        // After each ejection only the picked buffer can drop out of
+        // the candidate list, so the list shrinks in place.
+        let mut budget = self.local_bandwidth;
+        while budget > 0 && !scratch.eject.is_empty() {
+            let rr = &mut self.rr_eject[n];
+            let pick = *rr % scratch.eject.len();
+            *rr = rr.wrapping_add(1);
+            let (_, r) = scratch.eject[pick];
+            self.eject_flit(r as usize, ctx);
+            budget -= 1;
+            let still_candidate = !self.flits[r as usize].is_empty()
+                && matches!(
+                    self.state[r as usize],
+                    PortState::Active {
+                        out: OutKind::Eject,
+                        ..
+                    }
+                );
+            if !still_candidate {
+                scratch.eject.remove(pick);
+            }
+        }
+        self.scratch = scratch;
+    }
+
+    fn move_flit(&mut self, r: usize, out: LinkId, ctx: CycleCtx) {
+        let (out_vc, next_cursor) = match self.state[r] {
+            PortState::Active {
+                out_vc,
+                next_cursor,
+                ..
+            } => (out_vc, next_cursor),
+            _ => unreachable!("move_flit on non-active buffer"),
+        };
+        let queue = &mut self.flits[r];
+        let mut flit = queue.pop_front().expect("candidate had a front flit");
+        if flit.is_head {
+            flit.cursor = next_cursor;
+        }
+        if flit.is_tail {
+            // The vacated buffer frees its ownership and control state.
+            self.owner[r] = None;
+            self.state[r] = PortState::Idle;
+        }
+        if queue.is_empty() {
+            self.node_occ[self.buf_node[r] as usize] -= 1;
+        }
+        let dst = out.index() * self.vcs + out_vc as usize;
+        self.transit_counts[dst] += 1;
+        self.sends.push((dst as u32, flit));
+        if ctx.measuring {
+            self.link_flits[out.index()] += 1;
+        }
+        self.progress = true;
+    }
+
+    /// Ejects the front flit of buffer `r`. A flow ejects only at its
+    /// route's endpoint, so its latency statistics close here.
+    fn eject_flit(&mut self, r: usize, ctx: CycleCtx) {
+        let queue = &mut self.flits[r];
+        let flit = queue.pop_front().expect("candidate had a front flit");
+        if flit.is_tail {
+            self.owner[r] = None;
+            self.state[r] = PortState::Idle;
+        }
+        if queue.is_empty() {
+            self.node_occ[self.buf_node[r] as usize] -= 1;
+        }
+        self.in_network_flits -= 1;
+        if ctx.measuring {
+            self.delivered_flits += 1;
+        }
+        if flit.is_tail {
+            if ctx.measuring {
+                self.stats[flit.flow.index()].delivered += 1;
+                self.delivered_total += 1;
+            }
+            let slot = self.slots[flit.packet as usize];
+            self.free_slots.push(flit.packet);
+            if slot.tracked {
+                let latency = ctx.cycle - slot.entry_cycle;
+                let fs = &mut self.stats[flit.flow.index()];
+                fs.latency_sum += latency;
+                fs.latency_count += 1;
+                fs.latency_max = fs.latency_max.max(latency);
+                fs.histogram.record(latency);
+            }
+        }
+        self.progress = true;
+    }
+
+    /// Moves flits from node `n`'s source queue into its injection-port
+    /// buffers.
+    fn inject_node(&mut self, n: usize, ctx: CycleCtx) {
+        let vcs = self.vcs;
+        let inj_base = self.inj_base as usize;
+        let src = &mut self.src_queues[n];
+        let progress_slot = &mut self.inj_progress[n];
+        let mut budget = self.local_bandwidth;
+        while budget > 0 && !src.is_empty() {
+            match *progress_slot {
+                Some(InjectionProgress { vc, remaining }) => {
+                    let b = inj_base + n * vcs + vc as usize;
+                    let queue = &mut self.flits[b];
+                    if queue.len() >= self.buffer_depth {
+                        break;
+                    }
+                    let flit = src.pop_front().expect("nonempty");
+                    if queue.is_empty() {
+                        self.node_occ[n] += 1;
+                    }
+                    queue.push_back(flit);
+                    *progress_slot = (remaining > 1).then_some(InjectionProgress {
+                        vc,
+                        remaining: remaining - 1,
+                    });
+                }
+                None => {
+                    let head = *src.front().expect("nonempty");
+                    debug_assert!(head.is_head, "packet streams are contiguous");
+                    let chosen = (0..vcs as u8).find(|&v| {
+                        let b = inj_base + n * vcs + v as usize;
+                        self.owner[b].is_none() && self.flits[b].len() < self.buffer_depth
+                    });
+                    let Some(v) = chosen else { break };
+                    let flit = src.pop_front().expect("nonempty");
+                    let b = inj_base + n * vcs + v as usize;
+                    self.owner[b] = Some(head.packet);
+                    let queue = &mut self.flits[b];
+                    if queue.is_empty() {
+                        self.node_occ[n] += 1;
+                    }
+                    queue.push_back(flit);
+                    self.slots[head.packet as usize].entry_cycle = ctx.cycle;
+                    if self.packet_len > 1 {
+                        *progress_slot = Some(InjectionProgress {
+                            vc: v,
+                            remaining: self.packet_len - 1,
+                        });
+                    }
+                }
+            }
+            self.in_network_flits += 1;
+            self.backlog_flits -= 1;
+            self.progress = true;
+            budget -= 1;
+        }
+    }
+
+    /// End-of-cycle bookkeeping: advance the hop pipeline and deliver
+    /// arrivals. Returns whether any flit moved this cycle.
+    fn finish_cycle(&mut self, pipeline_latency: usize) -> bool {
         // This cycle's sends enter the pipeline; the oldest slot lands.
-        self.in_transit.push_back(sends);
+        let next = self.spare_sends.pop().unwrap_or_default();
+        self.in_transit
+            .push_back(std::mem::replace(&mut self.sends, next));
         if self.in_transit.len() >= pipeline_latency {
             let mut arrivals = self
                 .in_transit
@@ -1010,10 +617,10 @@ impl SerState {
                 .expect("nonempty by length check");
             for (buf, flit) in arrivals.drain(..) {
                 let b = buf as usize;
-                *sh.transit_counts.get_mut(b) -= 1;
-                let queue = sh.flits.get_mut(b);
+                self.transit_counts[b] -= 1;
+                let queue = &mut self.flits[b];
                 if queue.is_empty() {
-                    *sh.node_occ.get_mut(sh.buf_node[b] as usize) += 1;
+                    self.node_occ[self.buf_node[b] as usize] += 1;
                 }
                 queue.push_back(flit);
             }
@@ -1021,134 +628,8 @@ impl SerState {
             // pipeline churns zero allocations at steady state.
             self.spare_sends.push(arrivals);
         }
-        progress
+        std::mem::take(&mut self.progress)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel drivers
-// ---------------------------------------------------------------------------
-
-/// Everything the band workers share by reference for the whole run.
-struct ParCtx<'e, T: RouteTables> {
-    sh: &'e Shared,
-    boxes: &'e ShardVec<WorkerBox>,
-    index: &'e TopoIndex,
-    tables: &'e T,
-    bands: &'e [Band],
-    /// Wavefront row counters, one per band: `row_base + row + 1` once
-    /// the band finished switching that row this cycle (monotone, never
-    /// reset).
-    rows: Vec<AtomicU64>,
-    barrier: CycleBarrier,
-    ctl: CtlCell,
-    width: usize,
-    height: usize,
-}
-
-/// One band's route/switch/inject work for a published cycle. Called
-/// between barriers A and C by the main thread (band 0) and every
-/// worker (bands 1..); contains barrier B between route and switch.
-///
-/// # Safety
-///
-/// `b` must be this caller's unique band index and the cycle protocol
-/// (barrier A passed, `ctl` published) must be in force.
-unsafe fn band_cycle<T: RouteTables>(pc: &ParCtx<'_, T>, b: usize, ctx: CycleCtx, row_base: u64) {
-    let band = pc.bands[b];
-    let sh = pc.sh;
-    let wb = pc.boxes.get_mut(b);
-    // Route: node-parallel, no intra-phase ordering needed.
-    for y in 0..pc.height {
-        let row = y * pc.width;
-        for x in band.x0..band.x1 {
-            let n = row + x;
-            if *sh.node_occ.get(n) > 0 {
-                sh.route_node(n, pc.tables);
-            }
-        }
-    }
-    pc.barrier.wait(); // barrier B: route -> switch
-                       // Switch: row wavefront. Band b enters row y only after band b-1
-                       // has left it, which orders all horizontally adjacent neighbor
-                       // pairs exactly as the serial schedule (including torus wraps, by
-                       // transitivity along the row).
-    for y in 0..pc.height {
-        if b > 0 {
-            wait_row(&pc.rows[b - 1], row_base + y as u64 + 1);
-        }
-        let row = y * pc.width;
-        for x in band.x0..band.x1 {
-            let n = row + x;
-            if *sh.node_occ.get(n) > 0 {
-                sh.switch_node(n, pc.index, ctx, wb);
-            }
-        }
-        pc.rows[b].store(row_base + y as u64 + 1, Ordering::Release);
-    }
-    // Inject: node-local, safe to overlap with other bands' switch.
-    for y in 0..pc.height {
-        let row = y * pc.width;
-        for x in band.x0..band.x1 {
-            let n = row + x;
-            if !sh.src_queues.get(n).is_empty() {
-                sh.inject_node(n, ctx, wb);
-            }
-        }
-    }
-}
-
-/// A band worker: wait for the cycle to be published, run the band,
-/// wait out the merge window; exit when `done` is published.
-fn worker_loop<T: RouteTables>(pc: &ParCtx<'_, T>, b: usize) {
-    loop {
-        pc.barrier.wait(); // barrier A: cycle published
-                           // SAFETY: barrier A orders this read after the main thread's
-                           // publish; band_cycle runs under the band ownership protocol.
-        unsafe {
-            let ctl = pc.ctl.read();
-            if ctl.done {
-                break;
-            }
-            band_cycle(pc, b, ctl.ctx, ctl.row_base);
-        }
-        pc.barrier.wait(); // barrier C: effects visible to the merge
-    }
-}
-
-/// Splits a row-major grid into `threads` contiguous column bands.
-/// Returns a single band (the serial schedule) for non-grid topologies,
-/// for `threads == 1`, and for grids narrower than the thread count
-/// would allow. The layout is verified (node id `y * width + x`), so
-/// hand-built topologies that merely claim a grid kind fall back too.
-fn make_bands(topo: &Topology, threads: usize) -> Vec<Band> {
-    let width = topo.width() as usize;
-    let height = topo.height() as usize;
-    let serial = vec![Band { x0: 0, x1: width }];
-    let k = threads.min(width).max(1);
-    if k <= 1 {
-        return serial;
-    }
-    match topo.kind() {
-        TopologyKind::Mesh2D | TopologyKind::Torus2D | TopologyKind::Ring => {}
-        _ => return serial,
-    }
-    if width * height != topo.num_nodes() {
-        return serial;
-    }
-    for y in 0..height {
-        for x in 0..width {
-            if topo.node_at(x as u16, y as u16) != Some(NodeId((y * width + x) as u32)) {
-                return serial;
-            }
-        }
-    }
-    (0..k)
-        .map(|b| Band {
-            x0: b * width / k,
-            x1: (b + 1) * width / k,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,10 +645,8 @@ fn make_bands(topo: &Topology, threads: usize) -> Vec<Band> {
 /// per-packet bookkeeping in a recycled slot arena, and per-node
 /// input-port lists in a precomputed CSR. The cycle loop performs no
 /// hashing and no allocation, skips routers with no occupied input
-/// buffer, fast-forwards provably idle cycles, and (on grid topologies
-/// with `engine_threads > 1`) splits the mesh into column bands run by
-/// scoped worker threads — all with byte-identical reports for a fixed
-/// seed (see the module docs for the determinism argument).
+/// buffer, and fast-forwards provably idle cycles — with byte-identical
+/// reports for a fixed seed (see the module docs).
 pub struct Simulator<'a, T: RouteTables + Clone = NodeTables> {
     topo: &'a Topology,
     flows: &'a FlowSet,
@@ -1178,11 +657,7 @@ pub struct Simulator<'a, T: RouteTables + Clone = NodeTables> {
     tables: std::borrow::Cow<'a, T>,
     traffic: TrafficSpec,
     index: TopoIndex,
-    /// Column bands of the parallel schedule; a single band runs serial.
-    bands: Vec<Band>,
-    sh: Shared,
-    boxes: ShardVec<WorkerBox>,
-    ser: SerState,
+    net: Network,
 }
 
 impl<'a> Simulator<'a> {
@@ -1211,7 +686,7 @@ impl<'a> Simulator<'a> {
     }
 }
 
-impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
+impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
     /// Like [`Simulator::new`], but borrows `tables` already compiled
     /// from `routes` (e.g. the ones a `RoutePlan` carries, in either the
     /// dense or the compact representation) instead of rebuilding them —
@@ -1306,13 +781,13 @@ impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
             node_input_off.push(node_inputs.len() as u32);
         }
         let max_ports = index.max_in_degree() + 1;
-        let mut link_out_pos = vec![0u8; nl];
+        let mut link_out_pos = vec![0u32; nl];
         let mut max_out_degree = 0usize;
         for n in topo.node_ids() {
             let outs = index.out_links(n);
             max_out_degree = max_out_degree.max(outs.len());
             for (i, &l) in outs.iter().enumerate() {
-                link_out_pos[l.index()] = u8::try_from(i).expect("out degree fits u8");
+                link_out_pos[l.index()] = i as u32;
             }
         }
         let mut buf_node = vec![0u32; nbufs];
@@ -1327,11 +802,7 @@ impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
                 buf_node[inj_base as usize + n * vcs + v] = n as u32;
             }
         }
-        let bands = make_bands(topo, config.engine_threads);
-        let boxes = ShardVec::from_fn(bands.len(), || {
-            WorkerBox::new(max_ports, max_out_degree, vcs)
-        });
-        let (mut buf_cells, mut src_cells) = ARENA
+        let (mut flits, mut src_queues) = ARENA
             .try_with(|a| {
                 let mut arena = a.borrow_mut();
                 (
@@ -1340,38 +811,45 @@ impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
                 )
             })
             .unwrap_or_default();
-        resize_cells(&mut buf_cells, nbufs, config.buffer_depth);
-        resize_cells(&mut src_cells, nn, 0);
-        let sh = Shared {
-            flits: ShardVec::from_cells(buf_cells),
-            owner: ShardVec::from_fn(nbufs, || None),
-            state: ShardVec::from_fn(nbufs, || PortState::Idle),
-            transit_counts: ShardVec::from_fn(nl * vcs, || 0u8),
-            node_occ: ShardVec::from_fn(nn, || 0u32),
-            src_queues: ShardVec::from_cells(src_cells),
-            inj_progress: ShardVec::from_fn(nn, || None),
-            rr_out: ShardVec::from_fn(nl, || 0usize),
-            rr_eject: ShardVec::from_fn(nn, || 0usize),
-            link_flits: ShardVec::from_fn(nl, || 0u64),
-            stats: ShardVec::from_fn(flows.len(), FlowStats::default),
-            slots: SlotVec::new(),
+        resize_queues(&mut flits, nbufs, config.buffer_depth);
+        resize_queues(&mut src_queues, nn, 0);
+        let net = Network {
+            flits,
+            owner: vec![None; nbufs],
+            state: vec![PortState::Idle; nbufs],
+            transit_counts: vec![0; nl * vcs],
+            node_occ: vec![0; nn],
+            src_queues,
+            inj_progress: vec![None; nn],
+            rr_out: vec![0; nl],
+            rr_eject: vec![0; nn],
+            link_flits: vec![0; nl],
+            stats: vec![FlowStats::default(); flows.len()],
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             node_inputs,
             node_input_off,
             link_out_pos,
             buf_node,
             inj_base,
+            scratch: SwitchScratch {
+                port_forwarded: vec![false; max_ports],
+                forward: vec![Vec::with_capacity(max_ports * vcs); max_out_degree],
+                eject: Vec::with_capacity(max_ports * vcs),
+                eligible: Vec::with_capacity(max_ports * vcs),
+                outs: Vec::with_capacity(max_out_degree),
+            },
             vcs,
             buffer_depth: config.buffer_depth,
             local_bandwidth: config.local_bandwidth,
             packet_len: config.packet_len,
-        };
-        let ser = SerState {
             rng: StdRng::seed_from_u64(config.seed),
             var_states: (0..flows.len()).map(|_| VariationState::new()).collect(),
             burst_states: (0..flows.len()).map(|_| BurstState::new()).collect(),
-            free_slots: Vec::new(),
+            sends: Vec::new(),
             in_transit: VecDeque::new(),
             spare_sends: Vec::new(),
+            progress: false,
             in_network_flits: 0,
             backlog_flits: 0,
             cycle: 0,
@@ -1387,10 +865,7 @@ impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
             tables,
             traffic,
             index,
-            bands,
-            sh,
-            boxes,
-            ser,
+            net,
         })
     }
 
@@ -1402,179 +877,68 @@ impl<'a, T: RouteTables + Clone + Sync> Simulator<'a, T> {
     /// Like [`Simulator::run`], additionally measuring wall-clock time.
     ///
     /// The report itself stays fully deterministic for a fixed seed —
-    /// independent of `engine_threads`, `fast_forward`, and wall-clock
-    /// jitter; the timing travels separately so callers (the sweep
-    /// harness, CI) can record cycles/sec without perturbing
-    /// reproducibility checks.
+    /// independent of `fast_forward` and wall-clock jitter; the timing
+    /// travels separately so callers (the sweep harness, CI) can record
+    /// cycles/sec without perturbing reproducibility checks.
     pub fn run_timed(&mut self) -> (SimReport, RunTiming) {
         let started = Instant::now();
-        let deadlocked = if self.bands.len() > 1 {
-            self.run_parallel()
-        } else {
-            self.run_serial()
-        };
+        let deadlocked = self.run_cycles();
+        let net = &self.net;
         let report = SimReport {
-            cycles: self.ser.cycle,
+            cycles: net.cycle,
             measured_cycles: self.config.measurement,
-            generated_packets: self.ser.generated_total,
-            delivered_packets: self.ser.delivered_total,
-            delivered_flits: self.ser.delivered_flits,
-            per_flow: self.sh.stats.snapshot(),
-            link_flits: self.sh.link_flits.snapshot(),
+            generated_packets: net.generated_total,
+            delivered_packets: net.delivered_total,
+            delivered_flits: net.delivered_flits,
+            per_flow: net.stats.clone(),
+            link_flits: net.link_flits.clone(),
             deadlocked,
         };
-        let timing = RunTiming::new(self.ser.cycle, started.elapsed());
+        let timing = RunTiming::new(net.cycle, started.elapsed());
         (report, timing)
     }
 
-    /// The single-threaded schedule: one pass per phase in node order.
-    fn run_serial(&mut self) -> bool {
+    /// The cycle loop: one pass per phase in node order. Returns whether
+    /// the watchdog declared a deadlock.
+    fn run_cycles(&mut self) -> bool {
         let total = self.config.total_cycles();
         let nn = self.topo.num_nodes();
         let config = &self.config;
-        let sh = &self.sh;
-        let boxes = &self.boxes;
-        let index = &self.index;
         let tables: &T = self.tables.as_ref();
-        let flows = self.flows;
-        let traffic = &self.traffic;
-        let ser = &mut self.ser;
-        let mut deadlocked = false;
-        while ser.cycle < total {
-            // SAFETY: single-threaded run — every access is exclusive.
-            unsafe {
-                ser.generate(sh, flows, traffic, tables, config);
-                if config.fast_forward && ser.network_empty() {
-                    ser.cycle += 1;
-                    continue;
-                }
-                let ctx = CycleCtx {
-                    cycle: ser.cycle,
-                    measuring: ser.measuring(config),
-                };
-                let wb = boxes.get_mut(0);
-                for n in 0..nn {
-                    if *sh.node_occ.get(n) > 0 {
-                        sh.route_node(n, tables);
-                    }
-                }
-                for n in 0..nn {
-                    if *sh.node_occ.get(n) > 0 {
-                        sh.switch_node(n, index, ctx, wb);
-                    }
-                }
-                for n in 0..nn {
-                    if !sh.src_queues.get(n).is_empty() {
-                        sh.inject_node(n, ctx, wb);
-                    }
-                }
-                let progress = ser.finish_cycle(sh, boxes, 1, config.pipeline_latency as usize);
-                if progress {
-                    ser.last_progress = ser.cycle;
-                } else if ser.in_network_flits > 0
-                    && ser.cycle - ser.last_progress > config.watchdog
-                {
-                    deadlocked = true;
-                    break;
-                }
-                ser.cycle += 1;
+        let net = &mut self.net;
+        while net.cycle < total {
+            net.generate(self.flows, &self.traffic, tables, config);
+            if config.fast_forward && net.network_empty() {
+                net.cycle += 1;
+                continue;
             }
+            let ctx = CycleCtx {
+                cycle: net.cycle,
+                measuring: net.measuring(config),
+            };
+            for n in 0..nn {
+                if net.node_occ[n] > 0 {
+                    net.route_node(n, tables);
+                }
+            }
+            for n in 0..nn {
+                if net.node_occ[n] > 0 {
+                    net.switch_node(n, &self.index, ctx);
+                }
+            }
+            for n in 0..nn {
+                if !net.src_queues[n].is_empty() {
+                    net.inject_node(n, ctx);
+                }
+            }
+            if net.finish_cycle(config.pipeline_latency as usize) {
+                net.last_progress = net.cycle;
+            } else if net.in_network_flits > 0 && net.cycle - net.last_progress > config.watchdog {
+                return true;
+            }
+            net.cycle += 1;
         }
-        deadlocked
-    }
-
-    /// The column-band schedule: one scoped worker per band, three
-    /// barriers per simulated cycle, serial merge windows in between.
-    fn run_parallel(&mut self) -> bool {
-        let total = self.config.total_cycles();
-        let config = &self.config;
-        let sh = &self.sh;
-        let boxes = &self.boxes;
-        let index = &self.index;
-        let tables: &T = self.tables.as_ref();
-        let flows = self.flows;
-        let traffic = &self.traffic;
-        let bands = self.bands.as_slice();
-        let width = self.topo.width() as usize;
-        let height = self.topo.height() as usize;
-        let ser = &mut self.ser;
-        let nb = bands.len();
-        let pc = ParCtx {
-            sh,
-            boxes,
-            index,
-            tables,
-            bands,
-            rows: (0..nb).map(|_| AtomicU64::new(0)).collect(),
-            barrier: CycleBarrier::new(nb),
-            ctl: CtlCell::new(),
-            width,
-            height,
-        };
-        let mut deadlocked = false;
-        std::thread::scope(|scope| {
-            for b in 1..nb {
-                let pc = &pc;
-                scope.spawn(move || worker_loop(pc, b));
-            }
-            let mut row_base = 0u64;
-            while ser.cycle < total {
-                // SAFETY: workers are parked at barrier A, so the main
-                // thread owns everything (the serial window).
-                unsafe { ser.generate(sh, flows, traffic, tables, config) };
-                if config.fast_forward && ser.network_empty() {
-                    // Workers stay parked: no barriers on skipped cycles.
-                    ser.cycle += 1;
-                    continue;
-                }
-                let ctx = CycleCtx {
-                    cycle: ser.cycle,
-                    measuring: ser.measuring(config),
-                };
-                // SAFETY: still in the serial window; barrier A orders
-                // this publish before every worker's read.
-                unsafe {
-                    pc.ctl.publish(CycleCtl {
-                        ctx,
-                        row_base,
-                        done: false,
-                    });
-                }
-                pc.barrier.wait(); // barrier A: start the cycle
-                                   // SAFETY: band 0 is the main thread's band.
-                unsafe { band_cycle(&pc, 0, ctx, row_base) };
-                pc.barrier.wait(); // barrier C: all bands done
-                                   // SAFETY: workers parked again — serial merge window.
-                let progress =
-                    unsafe { ser.finish_cycle(sh, boxes, nb, config.pipeline_latency as usize) };
-                if progress {
-                    ser.last_progress = ser.cycle;
-                } else if ser.in_network_flits > 0
-                    && ser.cycle - ser.last_progress > config.watchdog
-                {
-                    deadlocked = true;
-                }
-                row_base += height as u64;
-                if deadlocked {
-                    break;
-                }
-                ser.cycle += 1;
-            }
-            // SAFETY: workers parked at barrier A; the final barrier
-            // releases them to observe `done` and exit.
-            unsafe {
-                pc.ctl.publish(CycleCtl {
-                    ctx: CycleCtx {
-                        cycle: 0,
-                        measuring: false,
-                    },
-                    row_base,
-                    done: true,
-                });
-            }
-            pc.barrier.wait();
-        });
-        deadlocked
+        false
     }
 }
 
@@ -1583,14 +947,10 @@ impl<T: RouteTables + Clone> Drop for Simulator<'_, T> {
     /// the next simulator on this thread (the common sweep-worker case)
     /// skips reallocating them.
     fn drop(&mut self) {
-        let mut bufs = std::mem::take(&mut self.sh.flits).into_cells();
-        for c in &mut bufs {
-            c.get_mut().clear();
-        }
-        let mut srcs = std::mem::take(&mut self.sh.src_queues).into_cells();
-        for c in &mut srcs {
-            c.get_mut().clear();
-        }
+        let mut bufs = std::mem::take(&mut self.net.flits);
+        bufs.iter_mut().for_each(VecDeque::clear);
+        let mut srcs = std::mem::take(&mut self.net.src_queues);
+        srcs.iter_mut().for_each(VecDeque::clear);
         let _ = ARENA.try_with(move |a| {
             let mut arena = a.borrow_mut();
             arena.bufs = bufs;
@@ -1601,13 +961,11 @@ impl<T: RouteTables + Clone> Drop for Simulator<'_, T> {
 
 /// Resizes an arena allocation to `n` cleared deques, reusing retained
 /// heap capacity where available.
-fn resize_cells(cells: &mut Vec<UnsafeCell<VecDeque<Flit>>>, n: usize, capacity: usize) {
-    cells.truncate(n);
-    for c in cells.iter_mut() {
-        c.get_mut().clear();
-    }
-    while cells.len() < n {
-        cells.push(UnsafeCell::new(VecDeque::with_capacity(capacity)));
+fn resize_queues(queues: &mut Vec<VecDeque<Flit>>, n: usize, capacity: usize) {
+    queues.truncate(n);
+    queues.iter_mut().for_each(VecDeque::clear);
+    while queues.len() < n {
+        queues.push(VecDeque::with_capacity(capacity));
     }
 }
 #[cfg(test)]
@@ -1995,15 +1353,14 @@ mod tests {
         assert!(report.max_link_flits() > 0);
     }
 
-    // --- engine parallelism & fast-forward ---------------------------------
+    // --- fast-forward -------------------------------------------------------
 
-    /// Reference report for `mesh_and_flows` under `spec` with the given
-    /// engine knobs.
+    /// Reference report for `mesh_and_flows` under `spec` with
+    /// fast-forward on or off.
     fn run_mesh(
         topo: &Topology,
         flows: &FlowSet,
         traffic: &TrafficSpec,
-        threads: usize,
         fast_forward: bool,
     ) -> SimReport {
         let routes = Baseline::XY.select(topo, flows, 2).expect("xy");
@@ -2011,7 +1368,6 @@ mod tests {
             .with_warmup(300)
             .with_measurement(2_000)
             .with_packet_len(4)
-            .with_engine_threads(threads)
             .with_fast_forward(fast_forward);
         Simulator::new(topo, flows, &routes, traffic.clone(), config)
             .expect("valid")
@@ -2030,202 +1386,30 @@ mod tests {
             TrafficSpec::proportional(&flows, 0.3)
                 .with_phases(PhaseSchedule::from_pairs([(150, 1.0), (450, 0.0)])),
         ];
-        for (si, spec) in specs.iter().enumerate() {
-            let reference = run_mesh(&topo, &flows, spec, 1, true);
-            assert!(reference.delivered_packets > 0, "spec {si} delivers");
-            for threads in [1usize, 2, 4] {
-                for ff in [true, false] {
-                    let report = run_mesh(&topo, &flows, spec, threads, ff);
-                    assert_eq!(
-                        report, reference,
-                        "spec {si}: {threads} threads, fast_forward={ff} must be byte-identical"
-                    );
-                }
-            }
+        let reference: Vec<SimReport> = specs
+            .iter()
+            .map(|spec| run_mesh(&topo, &flows, spec, true))
+            .collect();
+        for (si, report) in reference.iter().enumerate() {
+            assert!(report.delivered_packets > 0, "spec {si} delivers");
         }
-    }
-
-    #[test]
-    fn torus_parallel_matches_serial_with_uneven_bands() {
-        let topo = Topology::torus2d(4, 4);
-        let mut flows = FlowSet::new();
-        for n in topo.node_ids() {
-            let c = topo.coord(n);
-            let d = topo.node_at(c.y, c.x).expect("in range");
-            if n != d {
-                flows.push(n, d, 25.0);
-            }
-        }
-        let spec = TrafficSpec::proportional(&flows, 0.15);
-        // Three bands over four columns: widths 1, 2, 1.
-        let serial = run_mesh(&topo, &flows, &spec, 1, true);
-        let banded = run_mesh(&topo, &flows, &spec, 3, true);
-        assert!(serial.delivered_packets > 0);
-        assert_eq!(banded, serial);
-    }
-
-    #[test]
-    fn ring_wrap_link_handoff_is_deterministic_across_bands() {
-        use bsor_routing::{Route, RouteHop, VcMask};
-        let topo = Topology::ring(4);
-        let n = |i: u16| NodeId(i as u32);
-        let hop = |a: NodeId, b: NodeId| RouteHop {
-            link: topo.find_link(a, b).expect("adjacent"),
-            vcs: VcMask::all(1),
-        };
-        let mut flows = FlowSet::new();
-        flows.push(n(3), n(1), 1.0); // crosses the wrap link 3 -> 0
-        flows.push(n(1), n(3), 1.0);
-        let routes = RouteSet::from_routes(vec![
-            Route {
-                flow: FlowId(0),
-                hops: vec![hop(n(3), n(0)), hop(n(0), n(1))],
-            },
-            Route {
-                flow: FlowId(1),
-                hops: vec![hop(n(1), n(2)), hop(n(2), n(3))],
-            },
-        ]);
-        let run = |threads: usize| {
-            let config = SimConfig::new(1)
-                .with_warmup(200)
-                .with_measurement(2_000)
-                .with_packet_len(4)
-                .with_engine_threads(threads);
-            Simulator::new(
-                &topo,
-                &flows,
-                &routes,
-                TrafficSpec::proportional(&flows, 0.3),
-                config,
-            )
-            .expect("valid")
-            .run()
-        };
-        let serial = run(1);
-        assert!(serial.delivered_packets > 0);
-        // Bands [0,1] and [2,3]: the wrap link's handoff crosses bands
-        // "backwards" (band 1 feeds band 0), the transitivity case of
-        // the wavefront argument.
-        assert_eq!(run(2), serial);
-        assert_eq!(run(4), serial);
-    }
-
-    #[test]
-    fn parallel_engine_detects_deadlock_too() {
-        use bsor_routing::{Route, RouteHop, VcMask};
-        let topo = Topology::mesh2d(2, 2);
-        let n = |x, y| topo.node_at(x, y).expect("in range");
-        let hop = |a, b| RouteHop {
-            link: topo.find_link(a, b).expect("adjacent"),
-            vcs: VcMask::all(1),
-        };
-        let mut flows = FlowSet::new();
-        flows.push(n(0, 0), n(1, 0), 1.0);
-        flows.push(n(0, 1), n(0, 0), 1.0);
-        flows.push(n(1, 1), n(0, 1), 1.0);
-        flows.push(n(1, 0), n(1, 1), 1.0);
-        let routes = RouteSet::from_routes(vec![
-            Route {
-                flow: FlowId(0),
-                hops: vec![
-                    hop(n(0, 0), n(0, 1)),
-                    hop(n(0, 1), n(1, 1)),
-                    hop(n(1, 1), n(1, 0)),
-                ],
-            },
-            Route {
-                flow: FlowId(1),
-                hops: vec![
-                    hop(n(0, 1), n(1, 1)),
-                    hop(n(1, 1), n(1, 0)),
-                    hop(n(1, 0), n(0, 0)),
-                ],
-            },
-            Route {
-                flow: FlowId(2),
-                hops: vec![
-                    hop(n(1, 1), n(1, 0)),
-                    hop(n(1, 0), n(0, 0)),
-                    hop(n(0, 0), n(0, 1)),
-                ],
-            },
-            Route {
-                flow: FlowId(3),
-                hops: vec![
-                    hop(n(1, 0), n(0, 0)),
-                    hop(n(0, 0), n(0, 1)),
-                    hop(n(0, 1), n(1, 1)),
-                ],
-            },
-        ]);
-        let config = SimConfig::new(1)
-            .with_warmup(0)
-            .with_measurement(5_000)
-            .with_watchdog(500)
-            .with_buffer_depth(4)
-            .with_packet_len(64)
-            .with_engine_threads(2);
-        let traffic = TrafficSpec::uniform(&flows, 1.0);
-        let mut sim = Simulator::new(&topo, &flows, &routes, traffic, config).expect("valid");
-        let report = sim.run();
-        assert!(
-            report.deadlocked,
-            "the turning ring must deadlock in parallel too"
-        );
-    }
-
-    #[test]
-    fn non_grid_topologies_fall_back_to_the_serial_schedule() {
-        let topo = Topology::hypercube(3);
-        let mut flows = FlowSet::new();
-        for n in topo.node_ids() {
-            let d = NodeId(n.0 ^ 0b111);
-            flows.push(n, d, 1.0);
-        }
-        // XOR dimension-order routes: flip the lowest differing bit.
-        use bsor_routing::{Route, RouteHop, VcMask};
-        let route_for = |src: NodeId, dst: NodeId| {
-            let mut hops = Vec::new();
-            let mut cur = src;
-            while cur != dst {
-                let next = NodeId(cur.0 ^ (1 << (cur.0 ^ dst.0).trailing_zeros()));
-                hops.push(RouteHop {
-                    link: topo.find_link(cur, next).expect("cube edge"),
-                    vcs: VcMask::all(4),
+        // Sweeps run cases side by side on scoped threads, each thread
+        // recycling its flit-queue arena from case to case: neither the
+        // thread nor the arena's previous case may leak into a report.
+        std::thread::scope(|scope| {
+            for ff in [true, false] {
+                let (topo, flows, specs, reference) = (&topo, &flows, &specs, &reference);
+                scope.spawn(move || {
+                    for (si, spec) in specs.iter().enumerate() {
+                        assert_eq!(
+                            run_mesh(topo, flows, spec, ff),
+                            reference[si],
+                            "spec {si}: fast_forward={ff} must be byte-identical"
+                        );
+                    }
                 });
-                cur = next;
             }
-            hops
-        };
-        let routes = RouteSet::from_routes(
-            flows
-                .iter()
-                .map(|f| Route {
-                    flow: f.id,
-                    hops: route_for(f.src, f.dst),
-                })
-                .collect(),
-        );
-        let run = |threads: usize| {
-            let config = SimConfig::new(4)
-                .with_warmup(200)
-                .with_measurement(1_500)
-                .with_packet_len(4)
-                .with_engine_threads(threads);
-            Simulator::new(
-                &topo,
-                &flows,
-                &routes,
-                TrafficSpec::proportional(&flows, 0.1),
-                config,
-            )
-            .expect("valid")
-            .run()
-        };
-        let serial = run(1);
-        assert!(serial.delivered_packets > 0);
-        assert_eq!(run(4), serial, "hypercube must fall back deterministically");
+        });
     }
 
     #[test]
@@ -2250,5 +1434,55 @@ mod tests {
         assert_eq!(with_skip, without_skip);
         assert_eq!(with_skip.cycles, 4_500, "skipped cycles still count");
         assert!(with_skip.generated_packets > 0);
+    }
+
+    #[test]
+    fn routers_with_more_than_256_out_links_simulate() {
+        use bsor_routing::{Route, RouteHop, VcMask};
+        // A 300-leaf star: the hub's out-link positions run past 255,
+        // and the switch buckets forward candidates by that position.
+        let leaves = 300u32;
+        let mut text = String::from("node hub\n");
+        for i in 0..leaves {
+            text.push_str(&format!("link hub leaf{i}\n"));
+        }
+        let topo = bsor_topology::parse_topology_file("star.topo", &text).expect("valid star");
+        let hub = NodeId(0);
+        let leaf = |i: u32| NodeId(1 + i % leaves);
+        let hop = |a, b| RouteHop {
+            link: topo.find_link(a, b).expect("star edge"),
+            vcs: VcMask::all(1),
+        };
+        let mut flows = FlowSet::new();
+        let mut routes = Vec::new();
+        for i in 0..leaves {
+            let id = flows.push(leaf(i), leaf(i + 1), 1.0);
+            routes.push(Route {
+                flow: id,
+                hops: vec![hop(leaf(i), hub), hop(hub, leaf(i + 1))],
+            });
+        }
+        let routes = RouteSet::from_routes(routes);
+        let config = SimConfig::new(1)
+            .with_warmup(200)
+            .with_measurement(2_000)
+            .with_packet_len(4);
+        let report = Simulator::new(
+            &topo,
+            &flows,
+            &routes,
+            TrafficSpec::uniform(&flows, 0.02),
+            config,
+        )
+        .expect("valid")
+        .run();
+        assert!(!report.deadlocked);
+        // Every flow leaves the hub on its own out-link; a truncated
+        // position would send it down another leaf's link.
+        for i in 0..leaves {
+            assert!(report.per_flow[i as usize].delivered > 0, "flow {i}");
+            let out = topo.find_link(hub, leaf(i + 1)).expect("star edge");
+            assert!(report.link_flits[out.index()] > 0, "hub -> leaf{}", i + 1);
+        }
     }
 }

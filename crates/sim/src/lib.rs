@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod error;

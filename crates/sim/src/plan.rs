@@ -384,9 +384,8 @@ impl From<RouteError> for PlanError {
 }
 
 impl From<PlanError> for crate::scenario::ExperimentError {
-    /// Maps planning failures onto the legacy experiment errors (the
-    /// shimmed [`crate::Experiment`] pipeline reports identically to the
-    /// pre-plan one).
+    /// Maps planning failures onto the experiment errors, so
+    /// [`crate::Experiment::plan`] reports them as route selection did.
     fn from(e: PlanError) -> Self {
         use crate::scenario::ExperimentError;
         match e {
@@ -1624,14 +1623,16 @@ mod tests {
         let ev = SimEvaluator::new().evaluate(&plan, &point).expect("sims");
         assert_eq!(ev.backend, "sim");
         assert!(ev.delivered > 0);
-        // Byte-identical to the legacy path that recompiles tables.
-        let report = s
-            .simulate(
-                plan.routes(),
-                TrafficSpec::proportional(s.flows(), 0.2),
-                config,
-            )
-            .expect("legacy path");
+        // Byte-identical to a simulator that recompiles the tables.
+        let report = crate::Simulator::new(
+            s.topology(),
+            s.flows(),
+            plan.routes(),
+            TrafficSpec::proportional(s.flows(), 0.2),
+            config,
+        )
+        .expect("valid")
+        .run();
         assert_eq!(ev.generated, report.generated_packets);
         assert_eq!(ev.delivered, report.delivered_packets);
         assert_eq!(ev.mean_latency, report.mean_latency());

@@ -67,9 +67,7 @@
 //! ```
 
 use crate::config::{SimConfig, SimError};
-use crate::stats::{RunTiming, SimReport};
-use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule, TrafficSpec};
-use crate::Simulator;
+use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule};
 use bsor_cdg::{AcyclicCdg, CdgError, TurnModel};
 use bsor_flow::{FlowNetwork, FlowSet, FlowSetError};
 use bsor_routing::selectors::{
@@ -613,42 +611,6 @@ impl Scenario {
         }
     }
 
-    /// Simulates pre-selected `routes` under `traffic` (compiling the
-    /// node tables and running the cycle-accurate engine).
-    ///
-    /// `config.vcs` is overridden with the scenario's VC count so the
-    /// two can never diverge.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Sim`] when the simulator rejects the inputs.
-    pub fn simulate(
-        &self,
-        routes: &RouteSet,
-        traffic: TrafficSpec,
-        config: SimConfig,
-    ) -> Result<SimReport, ExperimentError> {
-        self.simulate_timed(routes, traffic, config)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`Scenario::simulate`], additionally measuring wall-clock
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Sim`] when the simulator rejects the inputs.
-    pub fn simulate_timed(
-        &self,
-        routes: &RouteSet,
-        traffic: TrafficSpec,
-        mut config: SimConfig,
-    ) -> Result<(SimReport, RunTiming), ExperimentError> {
-        config.vcs = self.vcs;
-        let mut sim = Simulator::new(&self.topo, &self.flows, routes, traffic, config)?;
-        Ok(sim.run_timed())
-    }
-
     /// Starts an [`Experiment`] pairing this scenario with `algorithm`.
     pub fn experiment<'a>(&'a self, algorithm: &'a dyn RouteAlgorithm) -> Experiment<'a> {
         Experiment {
@@ -663,15 +625,12 @@ impl Scenario {
     }
 }
 
-/// One scenario × one algorithm × one load point, ready to run.
-///
-/// **Superseded.** `Experiment` predates the plan/evaluate split and is
-/// kept as a thin shim for one release: [`Experiment::run`] now plans
-/// through [`crate::Planner`] (route selection, Lemma-1 certification,
-/// table compilation) and evaluates through [`crate::SimEvaluator`],
-/// producing byte-identical reports. New code should use those two
-/// layers directly — planning once and evaluating many points is what
-/// makes rate/burst/saturation sweeps cheap.
+/// One scenario × one algorithm × one load point: a builder whose
+/// [`Experiment::plan`] solves the scenario through [`crate::Planner`]
+/// (route selection, Lemma-1 certification, table compilation) and
+/// whose [`Experiment::eval_point`] is the load point to hand an
+/// [`crate::Evaluator`] with that plan. Planning once and evaluating
+/// many points is what makes rate/burst/saturation sweeps cheap.
 #[derive(Clone)]
 pub struct Experiment<'a> {
     scenario: &'a Scenario,
@@ -773,59 +732,6 @@ impl<'a> Experiment<'a> {
         crate::plan::Planner::new()
             .plan(self.scenario, self.algorithm)
             .map_err(ExperimentError::from)
-    }
-
-    /// Runs the full pipeline: plan (select → validate → certify
-    /// Lemma 1 → compile tables) → simulate.
-    ///
-    /// This is a compatibility shim over [`crate::Planner`] +
-    /// [`crate::SimEvaluator`]; one call plans and evaluates a single
-    /// point. Drivers sweeping many rates should plan once and evaluate
-    /// per point instead.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ExperimentError`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "plan once with `Planner::plan` and evaluate with `SimEvaluator` \
-                (`Experiment::plan` + `Experiment::eval_point` bridge directly)"
-    )]
-    pub fn run(&self) -> Result<SimReport, ExperimentError> {
-        let plan = self.plan()?;
-        let (report, _timing) = crate::plan::SimEvaluator::new()
-            .simulate(&plan, &self.eval_point())
-            .map_err(|crate::plan::EvalError::Sim(e)| ExperimentError::Sim(e))?;
-        Ok(report)
-    }
-
-    /// Simulates pre-selected routes (sharing one route computation
-    /// across several load points).
-    ///
-    /// **Superseded:** the sweep harness now shares a
-    /// [`crate::RoutePlan`] instead, which also reuses the compiled
-    /// node tables; this entry point recompiles them per call.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Sim`] when the simulator rejects the inputs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "share an `Arc<RoutePlan>` (`Experiment::plan`) and evaluate with \
-                `SimEvaluator` — this entry point recompiles the node tables per call"
-    )]
-    pub fn run_routes(&self, routes: &RouteSet) -> Result<SimReport, ExperimentError> {
-        let mut traffic = TrafficSpec::proportional(&self.scenario.flows, self.rate);
-        if let Some(v) = self.variation {
-            traffic = traffic.with_variation(v);
-        }
-        if let Some(b) = self.burst {
-            traffic = traffic.with_burst(b);
-        }
-        if let Some(p) = &self.phases {
-            traffic = traffic.with_phases(p.clone());
-        }
-        self.scenario.simulate(routes, traffic, self.config.clone())
     }
 }
 
@@ -956,7 +862,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // shim regression coverage until removal
     fn experiment_runs_end_to_end() {
         let topo = Topology::mesh2d(4, 4);
         let flows = mesh_flows(&topo);
@@ -966,18 +871,16 @@ mod tests {
             .build()
             .expect("ok");
         let config = SimConfig::new(2).with_warmup(100).with_measurement(1_000);
-        let report = scenario
-            .experiment(&Baseline::XY)
-            .config(config)
-            .rate(0.2)
-            .run()
+        let exp = scenario.experiment(&Baseline::XY).config(config).rate(0.2);
+        let plan = exp.plan().expect("plans");
+        let (report, _) = crate::plan::SimEvaluator::new()
+            .simulate(&plan, &exp.eval_point())
             .expect("runs");
         assert!(report.delivered_packets > 0);
         assert!(!report.deadlocked);
     }
 
     #[test]
-    #[allow(deprecated)] // shim regression coverage until removal
     fn experiment_reuses_routes_across_rates() {
         let topo = Topology::mesh2d(4, 4);
         let flows = mesh_flows(&topo);
@@ -985,9 +888,14 @@ mod tests {
         let exp = scenario
             .experiment(&Baseline::YX)
             .config(SimConfig::new(2).with_warmup(100).with_measurement(500));
-        let routes = exp.select_routes().expect("yx");
-        let light = exp.clone().rate(0.05).run_routes(&routes).expect("light");
-        let heavy = exp.rate(2.0).run_routes(&routes).expect("heavy");
+        let plan = exp.plan().expect("yx");
+        let run = |rate: f64| {
+            crate::plan::SimEvaluator::new()
+                .simulate(&plan, &exp.clone().rate(rate).eval_point())
+                .expect("simulates")
+                .0
+        };
+        let (light, heavy) = (run(0.05), run(2.0));
         assert!(heavy.generated_packets >= light.generated_packets);
     }
 

@@ -1,9 +1,9 @@
-//! Property tests for the engine's determinism contract: at any
-//! `engine_threads` value, with fast-forward on or off, a fixed-seed
-//! simulation produces a byte-identical `SimReport`. The parallel
-//! driver merges boundary handoffs in fixed node order and the
-//! fast-forward path consumes the generation RNG stream every cycle,
-//! so neither knob may perturb a single counter.
+//! Property tests for the engine's determinism contract: with
+//! fast-forward on or off, a fixed-seed simulation produces a
+//! byte-identical `SimReport`. The fast-forward path consumes the
+//! generation RNG stream every cycle and only skips cycles with no
+//! flit buffered, queued or in the hop pipeline, so it may not perturb
+//! a single counter at any pipeline latency.
 
 use bsor_routing::Baseline;
 use bsor_sim::{BurstyOnOff, PhaseSchedule, SimConfig, SimReport, Simulator, TrafficSpec};
@@ -11,14 +11,15 @@ use bsor_topology::Topology;
 use bsor_workloads::{neighbor, transpose, uniform_random, Workload};
 use proptest::prelude::*;
 
-/// Runs one fixed scenario at the given engine knobs.
+/// Runs one fixed scenario at the given pipeline latency and
+/// fast-forward setting.
 fn run_with(
     topo: &Topology,
     w: &Workload,
     algo: Baseline,
     traffic: TrafficSpec,
     seed: u64,
-    threads: usize,
+    pipeline_latency: u8,
     fast_forward: bool,
 ) -> SimReport {
     let routes = algo.select(topo, &w.flows, 2).expect("baseline routes");
@@ -27,7 +28,7 @@ fn run_with(
         .with_measurement(800)
         .with_packet_len(4)
         .with_seed(seed)
-        .with_engine_threads(threads)
+        .with_pipeline_latency(pipeline_latency)
         .with_fast_forward(fast_forward);
     let mut sim = Simulator::new(topo, &w.flows, &routes, traffic, config).expect("valid");
     sim.run()
@@ -55,11 +56,13 @@ fn build_traffic(flows: &bsor_flow::FlowSet, rate: f64, shape: u8) -> TrafficSpe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// topology x workload x traffic-shape x rate x seed: the report at
-    /// 2 and 4 worker threads, and with fast-forward disabled, must be
-    /// byte-identical to the single-threaded fast-forwarding reference.
+    /// topology x workload x traffic-shape x rate x seed: at pipeline
+    /// latency 1 and 4, the report with fast-forward disabled must be
+    /// byte-identical to the fast-forwarding one. At latency 4 flits
+    /// sit in the hop pipeline across cycle boundaries, which the skip
+    /// condition has to see.
     #[test]
-    fn report_is_identical_across_threads_and_fast_forward(
+    fn fast_forward_keeps_reports_identical_at_pipeline_latency_1_and_4(
         side in 3u16..=5,
         torus_sel in 0u8..2,
         which_workload in 0u8..3,
@@ -77,74 +80,32 @@ proptest! {
         let rate = f64::from(rate_step) * 0.05; // 0.05 .. 0.30
         let algo = if torus { Baseline::XY } else { Baseline::YX };
 
-        let reference = run_with(
-            &topo,
-            &w,
-            algo,
-            build_traffic(&w.flows, rate, shape),
-            seed,
-            1,
-            true,
-        );
-        for threads in [2usize, 4] {
-            for ff in [true, false] {
-                let got = run_with(
+        for pipeline in [1u8, 4] {
+            let run = |ff: bool| {
+                run_with(
                     &topo,
                     &w,
                     algo,
                     build_traffic(&w.flows, rate, shape),
                     seed,
-                    threads,
+                    pipeline,
                     ff,
-                );
-                prop_assert_eq!(
-                    &got,
-                    &reference,
-                    "threads={} ff={} diverged (side={}, torus={}, workload={}, shape={}, rate={}, seed={})",
-                    threads,
-                    ff,
-                    side,
-                    torus,
-                    which_workload,
-                    shape,
-                    rate,
-                    seed
-                );
-            }
-        }
-    }
-
-    /// Ring topologies band differently (width-1 bands, wrap links);
-    /// give them their own generator so shrinking stays local.
-    #[test]
-    fn ring_reports_are_identical_across_threads(
-        n in 4u16..=9,
-        rate_step in 1u32..=4,
-        seed in 0u64..500,
-    ) {
-        let topo = Topology::ring(n);
-        let w = neighbor(&topo).expect("ring of >= 2");
-        let rate = f64::from(rate_step) * 0.05;
-        let reference = run_with(
-            &topo,
-            &w,
-            Baseline::XY,
-            TrafficSpec::proportional(&w.flows, rate),
-            seed,
-            1,
-            true,
-        );
-        for threads in [2usize, 4] {
-            let got = run_with(
-                &topo,
-                &w,
-                Baseline::XY,
-                TrafficSpec::proportional(&w.flows, rate),
-                seed,
-                threads,
-                true,
+                )
+            };
+            let reference = run(true);
+            prop_assert!(reference.generated_packets > 0);
+            prop_assert_eq!(
+                &run(false),
+                &reference,
+                "pipeline={} diverged without fast-forward (side={}, torus={}, workload={}, shape={}, rate={}, seed={})",
+                pipeline,
+                side,
+                torus,
+                which_workload,
+                shape,
+                rate,
+                seed
             );
-            prop_assert_eq!(&got, &reference, "ring n={} threads={} seed={}", n, threads, seed);
         }
     }
 }
