@@ -5,10 +5,25 @@
 //! actually create is acyclic. This module rebuilds that restricted CDG
 //! from a [`RouteSet`] — conservatively expanding each hop's VC mask — and
 //! checks acyclicity.
+//!
+//! The builder is linear in the routes' hops. A dependence from channel
+//! `(l, v1)` can only enter an out-link of `l`'s head node, so one bit
+//! per `(l, v1, out-port of head(l), v2)` turn deduplicates the
+//! dependences exactly. Each new one is appended to a flat edge list in
+//! order of first occurrence. Kahn's algorithm then sorts a CSR built
+//! from that list by a stable counting sort. It seeds and pops its
+//! stack exactly as `algo::toposort` does on a `DiGraph` with the same
+//! insertion order, so the ranks are the ones that graph would give.
+//! Only a route set that is not deadlock-free builds a `DiGraph`, to
+//! report the cycle `algo::find_cycle` finds in it.
+//!
+//! [`DeadlockCertificate::verify`] shares none of this: it re-walks the
+//! routes and checks every dependence against the stored ranks, so a
+//! bug in the builder cannot hide from its own check.
 
 use crate::route::RouteSet;
 use bsor_netgraph::{algo, DiGraph};
-use bsor_topology::Topology;
+use bsor_topology::{NodeId, Topology};
 
 /// Result of a deadlock analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,33 +45,140 @@ impl DeadlockAnalysis {
     }
 }
 
-/// Builds the `(channel, VC)` dependence graph `routes` induce (the
-/// restricted CDG of Lemma 1), deduplicating edges.
-fn induced_graph(topo: &Topology, routes: &RouteSet, vcs: u8) -> DiGraph<(usize, u8), ()> {
-    let nl = topo.num_links();
+/// The dependence edges `routes` induce between the `(channel, VC)`
+/// slots `link * vcs + vc` (the restricted CDG of Lemma 1), each once,
+/// in order of first occurrence.
+///
+/// # Panics
+///
+/// Panics, naming the flow and hop, if a hop's VC mask does not fit
+/// `vcs` or a hop does not start where the previous one ends.
+fn dependences(topo: &Topology, routes: &RouteSet, vcs: u8) -> Vec<(u32, u32)> {
     let nv = vcs as usize;
-    let mut g: DiGraph<(usize, u8), ()> = DiGraph::with_capacity(nl * nv, nl * nv);
-    for l in 0..nl {
-        for v in 0..vcs {
-            g.add_node((l, v));
+    // port[l]: position of l in out_links(tail(l)). turn_base[l]: the
+    // first of l's turns, one per out-link of head(l).
+    let mut port = vec![0u32; topo.num_links()];
+    for n in 0..topo.num_nodes() {
+        for (p, &l) in topo.out_links(NodeId(n as u32)).iter().enumerate() {
+            port[l.index()] = p as u32;
         }
     }
-    let vid = |l: usize, v: u8| bsor_netgraph::NodeId((l * nv + v as usize) as u32);
-    // Dedup edges with a seen set to keep the graph small.
-    let mut seen = std::collections::HashSet::new();
+    let mut turn_base = Vec::with_capacity(topo.num_links());
+    let mut turns = 0usize;
+    for l in topo.link_ids() {
+        turn_base.push(turns);
+        turns += topo.out_links(topo.link(l).dst).len();
+    }
+    let mut seen = vec![0u64; (turns * nv * nv).div_ceil(64)];
+    let mut edges = Vec::new();
     for r in routes.iter() {
-        for pair in r.hops.windows(2) {
-            for v1 in pair[0].vcs.iter() {
-                for v2 in pair[1].vcs.iter() {
-                    let key = (pair[0].link.index(), v1, pair[1].link.index(), v2);
-                    if seen.insert(key) {
-                        g.add_edge(vid(key.0, key.1), vid(key.2, key.3), ());
+        for (i, hop) in r.hops.iter().enumerate() {
+            assert!(
+                hop.vcs.fits(vcs),
+                "route for {} hop {i}: VC mask {:?} does not fit {vcs} VCs \
+                 (routes must pass RouteSet::validate with the same vcs)",
+                r.flow,
+                hop.vcs
+            );
+        }
+        for (i, pair) in r.hops.windows(2).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                topo.link(a.link).dst == topo.link(b.link).src,
+                "route for {} hop {} does not start where hop {i} ends \
+                 (routes must pass RouteSet::validate)",
+                r.flow,
+                i + 1
+            );
+            let (l1, l2) = (a.link.index(), b.link.index());
+            let turn = (turn_base[l1] + port[l2] as usize) * nv * nv;
+            for v1 in a.vcs.iter() {
+                for v2 in b.vcs.iter() {
+                    let bit = turn + v1 as usize * nv + v2 as usize;
+                    let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                    if seen[word] & mask == 0 {
+                        seen[word] |= mask;
+                        edges.push((
+                            (l1 * nv + v1 as usize) as u32,
+                            (l2 * nv + v2 as usize) as u32,
+                        ));
                     }
                 }
             }
         }
     }
-    g
+    edges
+}
+
+/// Ranks the `slots` vertices of the graph `edges` lists in a
+/// topological order, or `None` if the graph has a cycle.
+///
+/// Kahn's algorithm on a CSR whose successor lists keep the edges'
+/// order. The stack is seeded in ascending slot order and popped from
+/// the back, as `algo::toposort` does on a `DiGraph` built by adding
+/// `edges` in order, so the order is that graph's.
+fn topological_ranks(slots: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
+    // Stable counting sort by source: after the reverse placement
+    // pass, offsets[s]..offsets[s + 1] holds s's successors in order.
+    let mut offsets = vec![0u32; slots + 1];
+    let mut indegree = vec![0u32; slots];
+    for &(s, d) in edges {
+        offsets[s as usize] += 1;
+        indegree[d as usize] += 1;
+    }
+    let mut end = 0;
+    for o in &mut offsets[..slots] {
+        end += *o;
+        *o = end;
+    }
+    offsets[slots] = end;
+    let mut successors = vec![0u32; edges.len()];
+    for &(s, d) in edges.iter().rev() {
+        offsets[s as usize] -= 1;
+        successors[offsets[s as usize] as usize] = d;
+    }
+    let mut stack: Vec<u32> = (0..slots as u32)
+        .filter(|&v| indegree[v as usize] == 0)
+        .collect();
+    let mut rank = vec![0u32; slots];
+    let mut placed = 0u32;
+    while let Some(v) = stack.pop() {
+        let v = v as usize;
+        rank[v] = placed;
+        placed += 1;
+        for &s in &successors[offsets[v] as usize..offsets[v + 1] as usize] {
+            indegree[s as usize] -= 1;
+            if indegree[s as usize] == 0 {
+                stack.push(s);
+            }
+        }
+    }
+    (placed as usize == slots).then_some(rank)
+}
+
+/// The cycle `algo::find_cycle` reports in the graph `edges` lists, as
+/// `(link index, vc)` pairs in cycle order.
+///
+/// # Panics
+///
+/// Panics if the graph is acyclic.
+fn dependence_cycle(slots: usize, vcs: u8, edges: &[(u32, u32)]) -> Vec<(usize, u8)> {
+    let mut g: DiGraph<(), ()> = DiGraph::with_capacity(slots, edges.len());
+    for _ in 0..slots {
+        g.add_node(());
+    }
+    for &(s, d) in edges {
+        g.add_edge(bsor_netgraph::NodeId(s), bsor_netgraph::NodeId(d), ());
+    }
+    let nv = vcs as usize;
+    algo::find_cycle(&g)
+        .expect("the topological sort stalled, so the graph has a cycle")
+        .iter()
+        .map(|&e| {
+            let s = g.endpoints(e).expect("live edge").0.index();
+            (s / nv, (s % nv) as u8)
+        })
+        .collect()
 }
 
 /// Builds the `(channel, VC)` dependence graph induced by `routes` and
@@ -67,20 +189,17 @@ fn induced_graph(topo: &Topology, routes: &RouteSet, vcs: u8) -> DiGraph<(usize,
 /// h2.vcs}`. This is conservative for dynamically allocated VCs: if the
 /// expanded graph is acyclic, the routing is deadlock-free under any
 /// run-time VC choice within the masks.
+///
+/// `routes` must pass [`RouteSet::validate`] with the same `vcs`.
+///
+/// # Panics
+///
+/// Panics, naming the flow and hop, if a hop's VC mask does not fit
+/// `vcs` or a hop does not start where the previous one ends.
 pub fn analyze(topo: &Topology, routes: &RouteSet, vcs: u8) -> DeadlockAnalysis {
-    let g = induced_graph(topo, routes, vcs);
-    match algo::find_cycle(&g) {
-        None => DeadlockAnalysis::Free,
-        Some(cycle_edges) => {
-            let cycle = cycle_edges
-                .iter()
-                .map(|&e| {
-                    let (s, _) = g.endpoints(e).expect("live edge");
-                    *g.node(s)
-                })
-                .collect();
-            DeadlockAnalysis::Cyclic { cycle }
-        }
+    match certify(topo, routes, vcs) {
+        Ok(_) => DeadlockAnalysis::Free,
+        Err(cycle) => DeadlockAnalysis::Cyclic { cycle },
     }
 }
 
@@ -111,6 +230,12 @@ impl DeadlockCertificate {
         self.dependencies
     }
 
+    /// The topological rank of every `(channel, VC)` vertex, indexed
+    /// `link * vcs + vc`.
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
+    }
+
     /// Re-checks the witness against `routes`: every dependence edge the
     /// routes create must strictly increase the stored topological rank
     /// (and every hop must stay inside the certified VC range).
@@ -118,10 +243,8 @@ impl DeadlockCertificate {
         let nv = self.vcs as usize;
         let rank = |l: usize, v: u8| self.rank.get(l * nv + v as usize);
         for r in routes.iter() {
-            for hop in &r.hops {
-                if hop.vcs.iter().any(|v| v >= self.vcs) {
-                    return false;
-                }
+            if !r.hops.iter().all(|hop| hop.vcs.fits(self.vcs)) {
+                return false;
             }
             for pair in r.hops.windows(2) {
                 for v1 in pair[0].vcs.iter() {
@@ -145,38 +268,42 @@ impl DeadlockCertificate {
 /// sorting the induced channel dependence graph, returning the order as
 /// a reusable [`DeadlockCertificate`].
 ///
+/// `routes` must pass [`RouteSet::validate`] with the same `vcs`.
+///
 /// # Errors
 ///
 /// The dependence cycle (as `(link index, vc)` pairs in cycle order)
 /// when the routing is *not* deadlock-free — the same evidence
 /// [`analyze`] reports.
+///
+/// # Panics
+///
+/// Panics, naming the flow and hop, if a hop's VC mask does not fit
+/// `vcs` or a hop does not start where the previous one ends.
 pub fn certify(
     topo: &Topology,
     routes: &RouteSet,
     vcs: u8,
 ) -> Result<DeadlockCertificate, Vec<(usize, u8)>> {
-    let g = induced_graph(topo, routes, vcs);
-    match algo::toposort(&g) {
-        Ok(order) => {
-            let mut rank = vec![0u32; topo.num_links() * vcs as usize];
-            for (pos, node) in order.iter().enumerate() {
-                let (l, v) = *g.node(*node);
-                rank[l * vcs as usize + v as usize] = pos as u32;
-            }
-            Ok(DeadlockCertificate {
-                vcs,
-                rank,
-                dependencies: g.edge_count(),
-            })
-        }
-        Err(_) => match analyze(topo, routes, vcs) {
-            DeadlockAnalysis::Cyclic { cycle } => Err(cycle),
-            DeadlockAnalysis::Free => unreachable!("toposort found a cycle analyze did not"),
-        },
+    let slots = topo.num_links() * vcs as usize;
+    assert!(u32::try_from(slots).is_ok(), "more than 2^32 channel slots");
+    let edges = dependences(topo, routes, vcs);
+    match topological_ranks(slots, &edges) {
+        Some(rank) => Ok(DeadlockCertificate {
+            vcs,
+            rank,
+            dependencies: edges.len(),
+        }),
+        None => Err(dependence_cycle(slots, vcs, &edges)),
     }
 }
 
 /// Convenience wrapper over [`analyze`].
+///
+/// # Panics
+///
+/// As [`analyze`]: `routes` must pass [`RouteSet::validate`] with the
+/// same `vcs`.
 pub fn is_deadlock_free(topo: &Topology, routes: &RouteSet, vcs: u8) -> bool {
     analyze(topo, routes, vcs).is_free()
 }
@@ -537,6 +664,46 @@ mod tests {
             ],
         }]);
         assert!(is_deadlock_free(&topo, &routes, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "route for f0 hop 1: VC mask VcMask(0b00000010) does not fit 1 VCs")]
+    fn out_of_range_vc_panics_instead_of_aliasing_the_next_link() {
+        // Slot `link * vcs + vc` of VC 1 on one VC is VC 0 of the next
+        // link (or past the end on the last link).
+        let topo = Topology::mesh2d(3, 1);
+        let n = NodeId;
+        let routes = RouteSet::from_routes(vec![Route {
+            flow: FlowId(0),
+            hops: vec![
+                hop(&topo, n(0), n(1), VcMask::single(0)),
+                hop(&topo, n(1), n(2), VcMask::single(1)),
+            ],
+        }]);
+        analyze(&topo, &routes, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "route for f1 hop 2 does not start where hop 1 ends")]
+    fn discontinuous_route_panics_instead_of_dropping_a_dependence() {
+        let topo = Topology::mesh2d(3, 1);
+        let n = NodeId;
+        let m = VcMask::all(2);
+        let routes = RouteSet::from_routes(vec![
+            Route {
+                flow: FlowId(0),
+                hops: vec![hop(&topo, n(0), n(1), m), hop(&topo, n(1), n(2), m)],
+            },
+            Route {
+                flow: FlowId(1),
+                hops: vec![
+                    hop(&topo, n(0), n(1), m),
+                    hop(&topo, n(1), n(2), m),
+                    hop(&topo, n(1), n(0), m),
+                ],
+            },
+        ]);
+        let _ = certify(&topo, &routes, 2);
     }
 
     #[test]

@@ -65,9 +65,21 @@ impl VcMask {
         self.0 == 0
     }
 
+    /// Whether every allowed VC is below `vcs`: the mask is valid on a
+    /// router with `vcs` virtual channels.
+    pub fn fits(self, vcs: u8) -> bool {
+        // Widened, because `u8 >> 8` overflows; every mask fits 8 VCs.
+        u16::from(self.0) >> vcs.min(8) == 0
+    }
+
     /// Iterates over allowed VC indices in ascending order.
     pub fn iter(self) -> impl Iterator<Item = u8> {
-        (0..8).filter(move |&v| self.contains(v))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let vc = rest.trailing_zeros() as u8;
+            rest &= rest.wrapping_sub(1);
+            (vc < 8).then_some(vc)
+        })
     }
 
     /// Lowest allowed VC.
@@ -328,7 +340,7 @@ impl RouteSet {
                 if h.vcs.is_empty() {
                     return Err(RouteError::EmptyVcMask(r.flow, i));
                 }
-                if h.vcs.iter().any(|v| v >= vcs) {
+                if !h.vcs.fits(vcs) {
                     return Err(RouteError::VcOutOfRange(r.flow, i));
                 }
             }
@@ -360,6 +372,18 @@ mod tests {
         assert_eq!(s.count(), 1);
         assert_eq!(s.first(), 2);
         assert_eq!(VcMask::all(8).0, 0xff);
+        for vcs in 1..=8u8 {
+            let all = VcMask::all(vcs);
+            assert_eq!(all.iter().collect::<Vec<_>>(), (0..vcs).collect::<Vec<_>>());
+            assert!(all.fits(vcs) && all.fits(8) && all.fits(u8::MAX));
+            assert!(!all.fits(vcs - 1), "all({vcs}) needs VC {}", vcs - 1);
+            let top = VcMask::single(vcs - 1);
+            assert!(top.fits(vcs) && !top.fits(vcs - 1));
+            assert_eq!(top.iter().collect::<Vec<_>>(), vec![vcs - 1]);
+        }
+        assert!(VcMask(0).fits(0) && !VcMask::single(0).fits(0));
+        assert_eq!(VcMask(0b1010_0101).iter().collect::<Vec<_>>(), [0, 2, 5, 7]);
+        assert_eq!(VcMask(0).iter().count(), 0);
     }
 
     #[test]

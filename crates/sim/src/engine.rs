@@ -745,10 +745,8 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             }
         }
         for route in routes.iter() {
-            for hop in &route.hops {
-                if hop.vcs.iter().any(|v| v >= config.vcs) {
-                    return Err(SimError::VcOutOfRange { vcs: config.vcs });
-                }
+            if !route.hops.iter().all(|hop| hop.vcs.fits(config.vcs)) {
+                return Err(SimError::VcOutOfRange { vcs: config.vcs });
             }
         }
         let index = TopoIndex::new(topo);
