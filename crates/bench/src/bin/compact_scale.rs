@@ -1,11 +1,14 @@
 //! `compact_scale` — dense vs interval-compressed routing-state bench
 //! across 64x64–256x256 meshes, committed as `BENCH_compact.json`.
 //!
-//! For every (mesh size, workload, algorithm) cell the bench selects
-//! routes directly (no planner, no certificate — this measures table
-//! state, not the pipeline), compiles both the dense `NodeTables` and
-//! the interval-compressed `CompactTables`, and records measured bytes,
-//! bytes per node and build/solve wall times. Combinations that cannot
+//! For every (mesh size, workload, algorithm) cell the bench gets a
+//! route set, compiles both the dense `NodeTables` and the
+//! interval-compressed `CompactTables`, and records measured bytes,
+//! bytes per node and build/solve wall times. The baselines select
+//! routes directly. The registry algorithms plan through a `Planner`
+//! with compact tables, so no dense tables are built while planning,
+//! and their `solve_ms` also covers validation, Lemma-1 certification
+//! and the compact table build. Combinations that cannot
 //! run at a size are *typed records*, never silent gaps:
 //!
 //! * `skipped` — over the bench's time budget (all-pairs workloads past
@@ -31,7 +34,7 @@
 //! compression ratio misses the <= 25% acceptance bound, 1 on bad
 //! arguments or write failure.
 
-use bsor::{AlgorithmRegistry, Scenario};
+use bsor::{AlgorithmRegistry, Planner, Scenario};
 use bsor_bench::json::Json;
 use bsor_routing::selectors::AcObliviousSelector;
 use bsor_routing::tables::RouteTables;
@@ -128,7 +131,7 @@ fn baseline_cell(topo: &Topology, baseline: Baseline, w: &Workload) -> (Json, f6
     }
 }
 
-/// Selects through the registry (the framework / selector algorithms)
+/// Plans through the registry (the framework / selector algorithms)
 /// and measures the resulting tables.
 fn registry_cell(
     registry: &AlgorithmRegistry,
@@ -146,10 +149,13 @@ fn registry_cell(
     };
     let algorithm = registry.get(name).expect("standard registry");
     let started = Instant::now();
-    match scenario.select_routes(algorithm) {
-        Ok(routes) => {
+    match Planner::new()
+        .with_compact_tables(true)
+        .plan(&scenario, algorithm)
+    {
+        Ok(plan) => {
             let solve_ms = ms(started);
-            measure_tables(topo, &routes, w.flows.len(), solve_ms)
+            measure_tables(topo, plan.routes(), w.flows.len(), solve_ms)
         }
         Err(e) => (refused(e.to_string()), 0.0),
     }

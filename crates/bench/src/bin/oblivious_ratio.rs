@@ -27,7 +27,7 @@ use bsor::{AlgorithmRegistry, RegistryConfig};
 use bsor_bench::json::Json;
 use bsor_bench::{fmt_row, run_mode, scenario_for, standard_mesh, RunMode};
 use bsor_routing::selectors::AcObliviousSelector;
-use bsor_sim::{ExperimentError, Planner};
+use bsor_sim::Planner;
 use bsor_topology::{NodeId, Topology};
 use bsor_workloads::{all_six, uniform_random, Workload};
 
@@ -169,7 +169,7 @@ fn main() {
                 let algo = registry.get(name).expect("standard registry has all four");
                 let cell = match planner.plan(&scenario, algo) {
                     Ok(plan) => Cell::Value(plan.predicted_mcl()),
-                    Err(e) => Cell::Error(ExperimentError::from(e).to_string()),
+                    Err(e) => Cell::Error(e.to_string()),
                 };
                 match (&cell, &worst[i]) {
                     (Cell::Value(v), Some(Cell::Value(w))) if *v > *w => {

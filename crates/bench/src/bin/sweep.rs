@@ -32,7 +32,8 @@
 //!   --packet-len N          flits per packet               (default 8)
 //!   --seed N                injection RNG seed             (default 46347)
 //!   --burst ON,OFF          on/off bursty injection with the given mean
-//!                           dwell cycles (default: flat Bernoulli)
+//!                           dwell cycles (default: flat Bernoulli; both
+//!                           finite and >= 1, or exit 1)
 //!   --saturation            per-case saturation-point search (bisect the
 //!                           rate to the latency knee)
 //!   --sat-range LO,HI       saturation search rate bounds  (default 0.05,4;
@@ -303,6 +304,9 @@ fn parse_args(
                     .ok_or_else(|| format!("--burst '{raw}' is not ON,OFF"))?;
                 let on: f64 = on.parse().map_err(|_| format!("bad burst on '{on}'"))?;
                 let off: f64 = off.parse().map_err(|_| format!("bad burst off '{off}'"))?;
+                if !(on.is_finite() && off.is_finite()) {
+                    return Err(format!("--burst '{raw}' dwell means must be finite"));
+                }
                 if !(on >= 1.0 && off >= 1.0) {
                     return Err(format!("--burst '{raw}' dwell means must be >= 1 cycle"));
                 }

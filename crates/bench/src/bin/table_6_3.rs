@@ -12,7 +12,7 @@
 
 use bsor_bench::{csv_mode, fmt_row, run_mode, scenario_for, standard_algorithms, standard_mesh};
 use bsor_routing::Baseline;
-use bsor_sim::{ExperimentError, Planner, RouteAlgorithm};
+use bsor_sim::{Planner, RouteAlgorithm};
 use bsor_workloads::all_six;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
         for (_, algo) in &algorithms {
             cells.push(match planner.plan(&scenario, algo.as_ref()) {
                 Ok(plan) => format!("{:.2}", plan.predicted_mcl()),
-                Err(e) => format!("({})", ExperimentError::from(e)),
+                Err(e) => format!("({e})"),
             });
         }
         if csv {

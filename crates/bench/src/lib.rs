@@ -38,8 +38,8 @@ use bsor_lp::MilpOptions;
 use bsor_routing::selectors::{DijkstraSelector, MilpSelector};
 use bsor_routing::Baseline;
 use bsor_sim::{
-    EvalPoint, Evaluator, ExperimentError, MarkovVariation, Planner, RouteAlgorithm, RoutePlan,
-    Scenario, SimConfig, SimEvaluator,
+    EvalPoint, Evaluator, MarkovVariation, Planner, RouteAlgorithm, RoutePlan, Scenario, SimConfig,
+    SimEvaluator,
 };
 use bsor_topology::Topology;
 use bsor_workloads::{h264_decoder, transpose, Workload};
@@ -162,7 +162,7 @@ pub fn algorithm_plans(
         .map(|(name, algo)| {
             let plan = planner
                 .plan(&scenario, algo.as_ref())
-                .map_err(|e| ExperimentError::from(e).to_string());
+                .map_err(|e| e.to_string());
             (name, plan)
         })
         .collect()
@@ -450,7 +450,7 @@ pub fn write_vc_sweep(
             }
             for (name, algo) in algos {
                 match planner.plan(&scenario, algo.as_ref()) {
-                    Err(e) => writeln!(out, "{name}: skipped ({})", ExperimentError::from(e))?,
+                    Err(e) => writeln!(out, "{name}: skipped ({e})")?,
                     Ok(plan) => {
                         for p in plan_sweep(&plan, &rates, &cfg) {
                             let lat = p

@@ -165,14 +165,14 @@ impl From<bsor_sim::PlanError> for ServeError {
     }
 }
 
-impl From<bsor_sim::EvalError> for ServeError {
-    fn from(e: bsor_sim::EvalError) -> Self {
+impl From<bsor_sim::SimError> for ServeError {
+    fn from(e: bsor_sim::SimError) -> Self {
         ServeError::Pipeline(e.into())
     }
 }
 
-impl From<bsor_sim::ExperimentError> for ServeError {
-    fn from(e: bsor_sim::ExperimentError) -> Self {
+impl From<bsor_sim::ScenarioError> for ServeError {
+    fn from(e: bsor_sim::ScenarioError) -> Self {
         ServeError::Pipeline(e.into())
     }
 }

@@ -13,18 +13,17 @@
 //! [`bsor_sim::PlanCache`] (on by default; see
 //! [`plan_cache_enabled_from_env`]) collapses those requests to exactly
 //! one route solve per case; disabling it re-solves per request — the
-//! cost profile of driving `Experiment::run` once per grid point, which
-//! the pre-plan sweep avoided only by hand-hoisting route selection out
-//! of its loops — with byte-identical output, which is how CI proves
-//! the cache changes cost and nothing else. [`PlanStats`]
+//! cost profile of planning once per grid point — with byte-identical
+//! output, which is how CI proves the cache changes cost and nothing
+//! else. [`PlanStats`]
 //! reports the solve/cache-hit counters.
 //!
 //! Every axis is registry-driven ([`SweepRegistries`]): topologies come
 //! from [`TopologyRegistry`], workloads from [`WorkloadRegistry`] and
 //! algorithms from [`AlgorithmRegistry`], so registering a new entry
-//! makes it sweepable with no sweep-code changes. Each case plans
-//! through the unified [`Scenario`] pipeline, which validates deadlock
-//! freedom (paper Lemma 1) before simulating; algorithms whose routes
+//! makes it sweepable with no sweep-code changes. Each case builds a
+//! [`Scenario`] and plans it, and planning certifies deadlock freedom
+//! (paper Lemma 1) before anything simulates; algorithms whose routes
 //! would deadlock surface as per-case errors instead of silently
 //! jamming the simulator.
 //!
@@ -36,8 +35,8 @@
 use crate::json::Json;
 use bsor::AlgorithmRegistry;
 use bsor_sim::{
-    BurstyOnOff, EvalPoint, Evaluator, ExperimentError, PlanCache, PlanStats, Planner,
-    RouteAlgorithm, Scenario, SimConfig, SimEvaluator,
+    BurstyOnOff, EvalPoint, Evaluator, PlanCache, PlanStats, Planner, RouteAlgorithm, Scenario,
+    SimConfig, SimEvaluator,
 };
 use bsor_topology::TopologyRegistry;
 use bsor_workloads::WorkloadRegistry;
@@ -459,8 +458,8 @@ pub struct CaseResult {
     /// metric), when routing succeeded.
     pub mcl: Option<f64>,
     /// Route-computation, workload or validation error, when the case
-    /// failed. Deadlock-capable route sets rejected by the pipeline
-    /// (`ExperimentError::CyclicCdg`) land here too.
+    /// failed. Deadlock-capable route sets rejected by the planner
+    /// (`PlanError::Deadlock`) land here too.
     pub error: Option<String>,
     /// Per-rate measurements (empty when `error` is set).
     pub points: Vec<PointResult>,
@@ -518,11 +517,10 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
         Err(e) => return failed_case(case, e.to_string()),
     };
     // Plan up front: route selection, Lemma-1 certification and table
-    // compilation happen here; failures become the case error exactly
-    // as the pre-plan pipeline reported them.
+    // compilation happen here; a failure becomes the case error.
     let plan = match planner.plan(&scenario, algorithm) {
         Ok(p) => p,
-        Err(e) => return failed_case(case, ExperimentError::from(e).to_string()),
+        Err(e) => return failed_case(case, e.to_string()),
     };
     let mcl = plan.predicted_mcl();
     let table_bytes = plan.table_bytes() as u64;
@@ -545,13 +543,12 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
     let mut points = Vec::with_capacity(spec.rates.len());
     for &rate in &spec.rates {
         // Every point re-requests the plan — with the cache on that is
-        // one lookup, with it off a full re-solve (the naive
-        // Experiment-per-point cost) — and evaluates on the plan's
-        // precompiled tables. Either step failing (e.g. a CLI rate the
-        // simulator rejects) is a recorded case error, never a panic.
+        // one lookup, with it off a full re-solve — and evaluates on the
+        // plan's precompiled tables. Either step failing (e.g. a CLI rate
+        // the simulator rejects) is a recorded case error, never a panic.
         let plan = match planner.plan(&scenario, algorithm) {
             Ok(p) => p,
-            Err(e) => return failed_case(case, ExperimentError::from(e).to_string()),
+            Err(e) => return failed_case(case, e.to_string()),
         };
         let ev = match evaluator.evaluate(&plan, &point_for(rate)) {
             Ok(ev) => ev,
@@ -629,7 +626,7 @@ fn saturation_search(
         runs += 1;
         let plan = planner
             .plan(scenario, algorithm)
-            .map_err(|e| ExperimentError::from(e).to_string())?;
+            .map_err(|e| e.to_string())?;
         let ev = evaluator
             .evaluate(&plan, &point_for(rate))
             .map_err(|e| format!("saturation probe at rate {rate}: {e}"))?;

@@ -1,6 +1,6 @@
 //! Certificate-identity golden: one FNV-1a digest per (topology,
 //! workload, VCs, algorithm) case over the plan's Lemma-1
-//! [`DeadlockCertificate`], plus the exact cycle `deadlock::analyze`
+//! [`DeadlockCertificate`], plus the exact cycle `deadlock::certify`
 //! reports on three cyclic route sets.
 //!
 //! `golden_routes.rs` pins the routes and `bsor-bench` digests plan ids
@@ -21,7 +21,7 @@
 
 use bsor_bench::sweep::SweepRegistries;
 use bsor_flow::FlowSet;
-use bsor_routing::deadlock::{self, DeadlockAnalysis, DeadlockCertificate};
+use bsor_routing::deadlock::{self, DeadlockCertificate};
 use bsor_routing::{Baseline, Route, RouteHop, RouteSet, VcMask};
 use bsor_sim::{Planner, Scenario};
 use bsor_topology::{NodeId, Topology};
@@ -160,14 +160,10 @@ fn xy_and_yx(topo: &Topology, vcs: u8) -> RouteSet {
 }
 
 /// One `cycle <name> vc<N> <link>:<vc> ...` line, in the order
-/// `analyze` reports the cycle.
+/// `certify` reports the cycle.
 fn cycle_line(name: &str, topo: &Topology, routes: &RouteSet, vcs: u8) -> String {
-    let cycle = match deadlock::analyze(topo, routes, vcs) {
-        DeadlockAnalysis::Cyclic { cycle } => cycle,
-        DeadlockAnalysis::Free => panic!("{name}: expected a dependence cycle"),
-    };
-    let cert_cycle = deadlock::certify(topo, routes, vcs).expect_err("cyclic");
-    assert_eq!(cert_cycle, cycle, "{name}: certify and analyze disagree");
+    let cycle = deadlock::certify(topo, routes, vcs)
+        .expect_err(&format!("{name}: expected a dependence cycle"));
     let channels: Vec<String> = cycle.iter().map(|(l, v)| format!("{l}:{v}")).collect();
     format!("cycle {name} vc{vcs} {}\n", channels.join(" "))
 }

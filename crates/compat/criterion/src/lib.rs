@@ -185,39 +185,8 @@ fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
                 "{label:<52} {:>12?} (min {:?} .. max {:?}, n={samples})",
                 mean, min, max
             );
-            append_json_line(label, samples, mean, min, max);
         }
         None => println!("{label:<52} (no measurement recorded)"),
-    }
-}
-
-/// When `BSOR_BENCH_JSON` names a file, every benchmark also appends one
-/// JSON line there — the same shape the `bsor-sweep` harness records in
-/// `BENCH_sweep.json` timing fields — so CI can collect micro-benchmark
-/// trajectories without scraping stdout.
-fn append_json_line(label: &str, samples: usize, mean: Duration, min: Duration, max: Duration) {
-    let Ok(path) = std::env::var("BSOR_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!(
-        "{{\"id\": \"{}\", \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}}}\n",
-        label.replace('\\', "\\\\").replace('"', "\\\""),
-        mean.as_nanos(),
-        min.as_nanos(),
-        max.as_nanos(),
-        samples
-    );
-    use std::io::Write as _;
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("criterion shim: cannot append to {path}: {e}");
     }
 }
 

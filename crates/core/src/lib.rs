@@ -47,9 +47,9 @@ pub use bsor_workloads as workloads;
 pub mod registry;
 
 pub use bsor_sim::{
-    AlgorithmError, EvalError, EvalPoint, Evaluation, Evaluator, Experiment, ExperimentError,
-    PlanCache, PlanError, PlanId, PlanKey, PlanStats, Planner, RouteAlgorithm, RoutePlan, Scenario,
-    ScenarioBuilder, ScenarioCtx, SimEvaluator, StaticMclEvaluator,
+    AlgorithmError, EvalPoint, Evaluation, Evaluator, PlanCache, PlanError, PlanId, PlanKey,
+    PlanStats, Planner, RouteAlgorithm, RoutePlan, Scenario, ScenarioBuilder, ScenarioCtx,
+    ScenarioError, SimError, SimEvaluator, StaticMclEvaluator,
 };
 pub use bsor_topology::{TopologyError, TopologyRegistry};
 pub use bsor_workloads::{workload_by_name, WorkloadRegistry};

@@ -188,7 +188,7 @@ pub fn sweep_milp() -> MilpSelector {
 ///
 /// ```
 /// use bsor::AlgorithmRegistry;
-/// use bsor_sim::Scenario;
+/// use bsor_sim::{Planner, Scenario};
 /// use bsor_topology::Topology;
 /// use bsor_workloads::workload_by_name;
 ///
@@ -198,8 +198,8 @@ pub fn sweep_milp() -> MilpSelector {
 /// let workload = workload_by_name(&mesh, "transpose")?;
 /// let scenario = Scenario::builder(mesh, workload.flows).vcs(2).build()?;
 /// let xy = registry.get("xy").expect("registered");
-/// let routes = scenario.select_routes(xy)?;
-/// assert_eq!(routes.len(), scenario.flows().len());
+/// let plan = Planner::new().plan(&scenario, xy)?;
+/// assert_eq!(plan.routes().len(), scenario.flows().len());
 /// # Ok(())
 /// # }
 /// ```
@@ -301,7 +301,7 @@ mod tests {
     use super::*;
     use bsor_flow::FlowSet;
     use bsor_routing::deadlock;
-    use bsor_sim::Scenario;
+    use bsor_sim::{Planner, Scenario};
     use bsor_topology::{NodeId, Topology};
     use bsor_workloads::transpose;
 
@@ -335,10 +335,10 @@ mod tests {
             .run()
             .expect("routable");
         let scenario = Scenario::builder(topo, w.flows).vcs(2).build().expect("ok");
-        let via_trait = scenario
-            .select_routes(&BsorAlgorithm::dijkstra())
+        let via_trait = Planner::new()
+            .plan(&scenario, &BsorAlgorithm::dijkstra())
             .expect("routable");
-        assert_eq!(direct.routes, via_trait);
+        assert_eq!(&direct.routes, via_trait.routes());
     }
 
     #[test]
@@ -350,10 +350,14 @@ mod tests {
                 flows.push(NodeId(i), NodeId((i + n / 2) % n), 10.0);
             }
             let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-            let routes = scenario
-                .select_routes(&BsorAlgorithm::dijkstra())
+            let plan = Planner::new()
+                .plan(&scenario, &BsorAlgorithm::dijkstra())
                 .expect("ad-hoc exploration routes it");
-            assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 2));
+            assert!(deadlock::is_deadlock_free(
+                scenario.topology(),
+                plan.routes(),
+                2
+            ));
         }
     }
 
@@ -373,10 +377,14 @@ mod tests {
                 flows.push(NodeId(i), NodeId((i + n / 2) % n), 10.0);
             }
             let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
-            let routes = scenario
-                .select_routes(&BsorAlgorithm::dijkstra())
+            let plan = Planner::new()
+                .plan(&scenario, &BsorAlgorithm::dijkstra())
                 .expect("up*/down* exploration routes it");
-            assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 1));
+            assert!(deadlock::is_deadlock_free(
+                scenario.topology(),
+                plan.routes(),
+                1
+            ));
         }
     }
 
@@ -415,8 +423,8 @@ mod tests {
         let topo = Topology::mesh2d(4, 4);
         let w = transpose(&topo).expect("square");
         let scenario = Scenario::builder(topo, w.flows).vcs(2).build().expect("ok");
-        let err = scenario
-            .select_routes(tight.get("bsor-dijkstra").expect("registered"))
+        let err = Planner::new()
+            .plan(&scenario, tight.get("bsor-dijkstra").expect("registered"))
             .expect_err("2-hop budget cannot route the transpose");
         assert!(err.to_string().contains("hop"), "typed refusal: {err}");
     }

@@ -478,7 +478,7 @@ mod tests {
         for f in flows.iter() {
             assert_eq!(
                 compact.walk_route(topo, f.id, f.src),
-                dense.walk(topo, f.id, f.src),
+                dense.walk_route(topo, f.id, f.src),
                 "walk mismatch for flow {} under {}",
                 f.id,
                 compact.mode()

@@ -25,26 +25,6 @@ use crate::route::RouteSet;
 use bsor_netgraph::{algo, DiGraph};
 use bsor_topology::{NodeId, Topology};
 
-/// Result of a deadlock analysis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeadlockAnalysis {
-    /// The induced channel dependence graph is acyclic.
-    Free,
-    /// A dependence cycle exists; the offending `(link, vc)` pairs are
-    /// listed in cycle order.
-    Cyclic {
-        /// `(link index, vc)` pairs forming the cycle.
-        cycle: Vec<(usize, u8)>,
-    },
-}
-
-impl DeadlockAnalysis {
-    /// True when no cycle was found.
-    pub fn is_free(&self) -> bool {
-        matches!(self, DeadlockAnalysis::Free)
-    }
-}
-
 /// The dependence edges `routes` induce between the `(channel, VC)`
 /// slots `link * vcs + vc` (the restricted CDG of Lemma 1), each once,
 /// in order of first occurrence.
@@ -181,28 +161,6 @@ fn dependence_cycle(slots: usize, vcs: u8, edges: &[(u32, u32)]) -> Vec<(usize, 
         .collect()
 }
 
-/// Builds the `(channel, VC)` dependence graph induced by `routes` and
-/// reports whether it is acyclic.
-///
-/// Every consecutive hop pair `(h1, h2)` of every route contributes the
-/// dependence edges `{(h1.link, v1) -> (h2.link, v2) | v1 ∈ h1.vcs, v2 ∈
-/// h2.vcs}`. This is conservative for dynamically allocated VCs: if the
-/// expanded graph is acyclic, the routing is deadlock-free under any
-/// run-time VC choice within the masks.
-///
-/// `routes` must pass [`RouteSet::validate`] with the same `vcs`.
-///
-/// # Panics
-///
-/// Panics, naming the flow and hop, if a hop's VC mask does not fit
-/// `vcs` or a hop does not start where the previous one ends.
-pub fn analyze(topo: &Topology, routes: &RouteSet, vcs: u8) -> DeadlockAnalysis {
-    match certify(topo, routes, vcs) {
-        Ok(_) => DeadlockAnalysis::Free,
-        Err(cycle) => DeadlockAnalysis::Cyclic { cycle },
-    }
-}
-
 /// A checkable witness of Lemma-1 deadlock freedom.
 ///
 /// The certificate carries a topological rank for every `(channel, VC)`
@@ -268,13 +226,18 @@ impl DeadlockCertificate {
 /// sorting the induced channel dependence graph, returning the order as
 /// a reusable [`DeadlockCertificate`].
 ///
+/// Every consecutive hop pair `(h1, h2)` of every route contributes the
+/// dependence edges `{(h1.link, v1) -> (h2.link, v2) | v1 ∈ h1.vcs, v2 ∈
+/// h2.vcs}`. This is conservative for dynamically allocated VCs: if the
+/// expanded graph is acyclic, the routing is deadlock-free under any
+/// run-time VC choice within the masks.
+///
 /// `routes` must pass [`RouteSet::validate`] with the same `vcs`.
 ///
 /// # Errors
 ///
-/// The dependence cycle (as `(link index, vc)` pairs in cycle order)
-/// when the routing is *not* deadlock-free — the same evidence
-/// [`analyze`] reports.
+/// The dependence cycle, as `(link index, vc)` pairs in cycle order,
+/// when the routing is *not* deadlock-free.
 ///
 /// # Panics
 ///
@@ -298,14 +261,14 @@ pub fn certify(
     }
 }
 
-/// Convenience wrapper over [`analyze`].
+/// Whether [`certify`] proves `routes` deadlock-free.
 ///
 /// # Panics
 ///
-/// As [`analyze`]: `routes` must pass [`RouteSet::validate`] with the
+/// As [`certify`]: `routes` must pass [`RouteSet::validate`] with the
 /// same `vcs`.
 pub fn is_deadlock_free(topo: &Topology, routes: &RouteSet, vcs: u8) -> bool {
-    analyze(topo, routes, vcs).is_free()
+    certify(topo, routes, vcs).is_ok()
 }
 
 /// Whether a deadlock-free *all-pairs* routing exists on `topo` with a
@@ -600,11 +563,8 @@ mod tests {
                 ],
             },
         ]);
-        let analysis = analyze(&topo, &routes, 1);
-        match analysis {
-            DeadlockAnalysis::Cyclic { ref cycle } => assert_eq!(cycle.len(), 4),
-            DeadlockAnalysis::Free => panic!("expected a dependence cycle"),
-        }
+        let cycle = certify(&topo, &routes, 1).expect_err("expected a dependence cycle");
+        assert_eq!(cycle.len(), 4);
     }
 
     #[test]
@@ -680,7 +640,7 @@ mod tests {
                 hop(&topo, n(1), n(2), VcMask::single(1)),
             ],
         }]);
-        analyze(&topo, &routes, 1);
+        let _ = certify(&topo, &routes, 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`Baseline`] — XY, YX, O1TURN, ROMM and Valiant.
 //! * [`deadlock`] — rebuilds the channel dependence graph induced by a
 //!   route set and checks acyclicity (paper Lemma 1).
-//! * [`tables`] — source routing and node-table routing images
-//!   (paper §4.2.1) consumed by the `bsor-sim` router model.
+//! * [`tables`] — node-table routing images (paper §4.2.1) consumed by
+//!   the `bsor-sim` router model.
 //!
 //! ```
 //! use bsor_topology::Topology;
@@ -61,4 +61,4 @@ pub use baselines::Baseline;
 pub use compact::{AnyTables, CompactTables};
 pub use route::{Route, RouteError, RouteHop, RouteSet, VcMask};
 pub use selector::{FlowOrder, SelectError};
-pub use tables::{NodeTables, RouteTables, SourceRouteTable, TableEntry};
+pub use tables::{NodeTables, RouteTables, TableEntry};

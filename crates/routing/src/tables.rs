@@ -1,12 +1,10 @@
 //! Table-based routing state for programmable routers (paper §4.2.1).
 //!
-//! Two realizations are provided, mirroring Figure 4-2:
-//!
-//! * [`SourceRouteTable`] — source routing: the whole hop list is
-//!   prepended to each packet as routing flits.
-//! * [`NodeTables`] — node-table routing: each router stores `(output
-//!   port, VC mask, next index)` entries; packets carry only a table
-//!   index that is rewritten at every hop.
+//! [`NodeTables`] is the node-table realization of Figure 4-2(b): each
+//! router stores `(output port, VC mask, next index)` entries, and
+//! packets carry only a table index that is rewritten at every hop.
+//! [`RouteTables`] abstracts over it and the interval-compressed
+//! [`crate::compact::CompactTables`].
 
 use crate::route::{RouteSet, VcMask};
 use bsor_flow::FlowId;
@@ -49,48 +47,6 @@ pub trait RouteTables {
             cursor = entry.next_index;
         }
         hops
-    }
-}
-
-/// Source-routing tables: one pre-computed hop list per flow.
-#[derive(Clone, Debug, Default)]
-pub struct SourceRouteTable {
-    per_flow: Vec<Vec<LinkId>>,
-}
-
-impl SourceRouteTable {
-    /// Extracts the routing-flit content for every flow in `routes`.
-    pub fn build(routes: &RouteSet) -> SourceRouteTable {
-        SourceRouteTable {
-            per_flow: routes
-                .iter()
-                .map(|r| r.hops.iter().map(|h| h.link).collect())
-                .collect(),
-        }
-    }
-
-    /// The output-channel sequence a packet of `flow` carries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
-    pub fn route_flits(&self, flow: FlowId) -> &[LinkId] {
-        &self.per_flow[flow.index()]
-    }
-
-    /// Number of flows covered.
-    pub fn len(&self) -> usize {
-        self.per_flow.len()
-    }
-
-    /// True when no flows are covered.
-    pub fn is_empty(&self) -> bool {
-        self.per_flow.is_empty()
-    }
-
-    /// Routing-flit overhead: the longest hop list, in entries.
-    pub fn max_route_flits(&self) -> usize {
-        self.per_flow.iter().map(|p| p.len()).max().unwrap_or(0)
     }
 }
 
@@ -215,21 +171,6 @@ impl NodeTables {
         let idx_bits = (self.max_entries().max(2) as f64).log2().ceil() as u32;
         2 + idx_bits
     }
-
-    /// Follows the tables from a flow's source, reconstructing the hop
-    /// list (used to verify table programming round-trips).
-    pub fn walk(&self, topo: &Topology, flow: FlowId, src: NodeId) -> Vec<LinkId> {
-        let mut hops = Vec::new();
-        let mut node = src;
-        let mut index = Some(self.initial_index(flow));
-        while let Some(idx) = index {
-            let entry = self.lookup(node, idx);
-            hops.push(entry.out_link);
-            node = topo.link(entry.out_link).dst;
-            index = entry.next_index;
-        }
-        hops
-    }
 }
 
 impl RouteTables for NodeTables {
@@ -269,24 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn source_table_matches_routes() {
-        let (_topo, flows, routes) = sample();
-        let table = SourceRouteTable::build(&routes);
-        assert_eq!(table.len(), flows.len());
-        for f in flows.iter() {
-            let flits = table.route_flits(f.id);
-            let hops: Vec<LinkId> = routes.route(f.id).hops.iter().map(|h| h.link).collect();
-            assert_eq!(flits, hops.as_slice());
-        }
-        assert!(table.max_route_flits() >= 1);
-    }
-
-    #[test]
     fn node_tables_walk_reproduces_routes() {
         let (topo, flows, routes) = sample();
         let tables = NodeTables::build(&topo, &routes);
         for f in flows.iter() {
-            let walked = tables.walk(&topo, f.id, f.src);
+            let walked = tables.walk_route(&topo, f.id, f.src);
             let expected: Vec<LinkId> = routes.route(f.id).hops.iter().map(|h| h.link).collect();
             assert_eq!(walked, expected, "table walk must reproduce flow {}", f.id);
         }

@@ -5,11 +5,11 @@
 //! every dependence goes through a `HashSet<(usize, u8, usize, u8)>`,
 //! into a general `DiGraph` in order of first occurrence, which
 //! `algo::toposort` ranks and `algo::find_cycle` searches for a cycle.
-//! `deadlock::certify` and `deadlock::analyze` dedup with a turn bitmap
-//! and sort a CSR instead, and promise exact equality with it: the same
-//! rank for every `(channel, VC)` slot and the same dependency count
-//! when the routes are deadlock-free, and the same cycle, in the same
-//! order, when they are not. `DeadlockCertificate::verify` must accept
+//! `deadlock::certify` dedups with a turn bitmap and sorts a CSR
+//! instead, and promises exact equality with it: the same rank for
+//! every `(channel, VC)` slot and the same dependency count when the
+//! routes are deadlock-free, and the same cycle, in the same order,
+//! when they are not. `DeadlockCertificate::verify` must accept
 //! every certificate.
 //!
 //! Inputs are random walks, which are continuous by construction; they
@@ -19,7 +19,7 @@
 
 use bsor_flow::FlowId;
 use bsor_netgraph::{algo, DiGraph, NodeId as GraphNode};
-use bsor_routing::deadlock::{self, DeadlockAnalysis};
+use bsor_routing::deadlock;
 use bsor_routing::{Route, RouteHop, RouteSet, VcMask};
 use bsor_topology::{NodeId, Topology};
 use proptest::prelude::*;
@@ -183,13 +183,6 @@ fn check(case: &Case) -> Result<bool, TestCaseError> {
             )))
         }
     }
-    let analysis = match &expected {
-        Ok(_) => DeadlockAnalysis::Free,
-        Err(cycle) => DeadlockAnalysis::Cyclic {
-            cycle: cycle.clone(),
-        },
-    };
-    prop_assert_eq!(deadlock::analyze(topo, routes, *vcs), analysis);
     prop_assert_eq!(
         deadlock::is_deadlock_free(topo, routes, *vcs),
         expected.is_ok()

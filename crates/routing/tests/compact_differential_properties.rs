@@ -43,7 +43,7 @@ fn assert_tables_match(topo: &Topology, flows: &FlowSet, routes: &RouteSet) {
     for f in flows.iter() {
         assert_eq!(
             compact.walk_route(topo, f.id, f.src),
-            dense.walk(topo, f.id, f.src),
+            dense.walk_route(topo, f.id, f.src),
             "walk mismatch for flow {} under {}",
             f.id,
             compact.mode()

@@ -53,13 +53,11 @@ pub use config::{SimConfig, SimError};
 pub use engine::Simulator;
 pub use error::Error;
 pub use plan::{
-    CacheStats, EvalError, EvalPoint, Evaluation, Evaluator, InvalidateOutcome, PlanCache,
-    PlanCacheConfig, PlanError, PlanId, PlanKey, PlanStats, Planner, RoutePlan, SimEvaluator,
-    StaticMclEvaluator,
+    CacheStats, EvalPoint, Evaluation, Evaluator, InvalidateOutcome, PlanCache, PlanCacheConfig,
+    PlanError, PlanId, PlanKey, PlanStats, Planner, RoutePlan, SimEvaluator, StaticMclEvaluator,
 };
 pub use scenario::{
-    AlgorithmError, Experiment, ExperimentError, RouteAlgorithm, Scenario, ScenarioBuilder,
-    ScenarioCtx,
+    AlgorithmError, RouteAlgorithm, Scenario, ScenarioBuilder, ScenarioCtx, ScenarioError,
 };
 pub use stats::{FlowStats, LatencyHistogram, RunTiming, SimReport};
 pub use traffic::{

@@ -12,9 +12,12 @@
 //!   validated routes, a checkable Lemma-1
 //!   [`DeadlockCertificate`], compiled routing tables ([`AnyTables`],
 //!   dense or interval-compressed), the static
-//!   per-channel loads and the predicted MCL;
+//!   per-channel loads and the predicted MCL. [`Planner::plan`] is the
+//!   only way a scenario and an algorithm become routes, and
+//!   [`PlanError`] is its one error type;
 //! * an [`Evaluator`] judges a plan at an [`EvalPoint`] and returns a
-//!   common typed [`Evaluation`] report. Two backends ship:
+//!   common typed [`Evaluation`] report, or the [`SimError`] that
+//!   rejected the point. Two backends ship:
 //!   [`StaticMclEvaluator`] (analytical channel-load/MCL estimate
 //!   straight from the plan, no simulation) and [`SimEvaluator`] (the
 //!   cycle-accurate arena engine);
@@ -383,25 +386,6 @@ impl From<RouteError> for PlanError {
     }
 }
 
-impl From<PlanError> for crate::scenario::ExperimentError {
-    /// Maps planning failures onto the experiment errors, so
-    /// [`crate::Experiment::plan`] reports them as route selection did.
-    fn from(e: PlanError) -> Self {
-        use crate::scenario::ExperimentError;
-        match e {
-            PlanError::Algorithm(e) => ExperimentError::Algorithm(e),
-            PlanError::InvalidRoutes(e) => ExperimentError::InvalidRoutes(e),
-            PlanError::Deadlock {
-                algorithm,
-                cycle_len,
-            } => ExperimentError::CyclicCdg {
-                algorithm,
-                cycle_len,
-            },
-        }
-    }
-}
-
 /// Sizing knobs for a [`PlanCache`].
 ///
 /// The defaults are an unbounded cache over
@@ -481,8 +465,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Lookups that blocked on an identical in-flight solve.
     pub dedup_waits: u64,
-    /// Plans stored (leader completions plus direct
-    /// [`PlanCache::insert`]s).
+    /// Plans stored: one per successful solve through the single-flight
+    /// path.
     pub inserts: u64,
     /// Entries evicted by the LRU capacity/byte budget.
     pub evicted_lru: u64,
@@ -711,28 +695,6 @@ impl PlanCache {
 
     fn shard(&self, key: &PlanKey) -> &Mutex<Shard> {
         &self.shards[key.id().0 as usize % self.shards.len()]
-    }
-
-    /// The cached plan for `key`, if any (counts a hit or a miss; does
-    /// not join an in-flight solve — that is [`Planner::plan`]'s job).
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<RoutePlan>> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .expect("plan cache poisoned")
-            .touch(key);
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Stores `plan` under `key` (replacing any previous entry),
-    /// applying the LRU budgets.
-    pub fn insert(&self, key: PlanKey, plan: Arc<RoutePlan>) {
-        let mut shard = self.shard(&key).lock().expect("plan cache poisoned");
-        self.insert_locked(&mut shard, key, plan);
     }
 
     fn insert_locked(&self, shard: &mut Shard, key: PlanKey, plan: Arc<RoutePlan>) {
@@ -1198,37 +1160,6 @@ pub struct Evaluation {
     pub timing: Option<RunTiming>,
 }
 
-/// Why an [`Evaluator`] could not produce an [`Evaluation`].
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum EvalError {
-    /// The simulator rejected the evaluation point (bad rate,
-    /// inconsistent traffic, …).
-    Sim(SimError),
-}
-
-impl fmt::Display for EvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvalError::Sim(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for EvalError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            EvalError::Sim(e) => Some(e),
-        }
-    }
-}
-
-impl From<SimError> for EvalError {
-    fn from(e: SimError) -> Self {
-        EvalError::Sim(e)
-    }
-}
-
 /// Judges a [`RoutePlan`] at an [`EvalPoint`].
 ///
 /// Backends are interchangeable: both ship [`Evaluation`] with the same
@@ -1242,8 +1173,9 @@ pub trait Evaluator {
     ///
     /// # Errors
     ///
-    /// Any [`EvalError`].
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError>;
+    /// A [`SimError`] when the point is rejected (bad rate,
+    /// inconsistent traffic, …).
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, SimError>;
 }
 
 /// The analytical backend: channel-load / MCL arithmetic straight from
@@ -1276,7 +1208,7 @@ impl Evaluator for StaticMclEvaluator {
         "static-mcl"
     }
 
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError> {
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, SimError> {
         let total_demand = plan.flows().total_demand();
         let packet_len = point.config.packet_len as f64;
         // MB/s → flits/cycle at this offered rate.
@@ -1345,12 +1277,12 @@ impl SimEvaluator {
     ///
     /// # Errors
     ///
-    /// [`EvalError::Sim`] when the simulator rejects the inputs.
+    /// A [`SimError`] when the simulator rejects the inputs.
     pub fn simulate(
         &self,
         plan: &RoutePlan,
         point: &EvalPoint,
-    ) -> Result<(SimReport, RunTiming), EvalError> {
+    ) -> Result<(SimReport, RunTiming), SimError> {
         let mut config = point.config.clone();
         config.vcs = plan.vcs();
         let mut traffic = TrafficSpec::proportional(plan.flows(), point.rate);
@@ -1380,7 +1312,7 @@ impl Evaluator for SimEvaluator {
         "sim"
     }
 
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError> {
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, SimError> {
         let (report, timing) = self.simulate(plan, point)?;
         // One per-flow histogram merge serves all three percentiles.
         let hist = report.latency_histogram();
@@ -1428,7 +1360,7 @@ mod tests {
     fn plan_matches_direct_selection_and_certifies() {
         let s = scenario(2);
         let plan = Planner::new().plan(&s, &Baseline::XY).expect("plans");
-        let direct = s.select_routes(&Baseline::XY).expect("selects");
+        let direct = Baseline::XY.routes(&s.ctx()).expect("selects");
         assert_eq!(plan.routes(), &direct);
         assert_eq!(plan.predicted_mcl(), direct.mcl(s.topology(), s.flows()));
         assert!(plan.certificate().verify(plan.routes()));

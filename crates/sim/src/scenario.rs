@@ -1,4 +1,4 @@
-//! The unified scenario/experiment pipeline.
+//! Scenarios and the one route-algorithm contract.
 //!
 //! The paper's framework is compositional: a topology, an application's
 //! flow set, a deadlock-free acyclic CDG, and a route-selection function
@@ -10,14 +10,15 @@
 //! * [`RouteAlgorithm`] is the single trait every algorithm implements —
 //!   the paper's baselines (XY/YX/O1TURN/ROMM/Valiant) and the BSOR
 //!   selectors alike — replacing the two historical `select` signatures.
-//! * [`ScenarioBuilder`] → [`Scenario`] → [`Experiment`] is the one
-//!   pipeline every binary drives: it owns CDG construction, route
-//!   selection, **mandatory deadlock validation** (paper Lemma 1), route
-//!   validation, table compilation and simulation.
+//! * [`ScenarioBuilder`] → [`Scenario`] validates the flows and derives
+//!   the CDG once. [`crate::Planner::plan`] is then the one way a
+//!   scenario and an algorithm become routes: it selects, validates,
+//!   **certifies deadlock freedom** (paper Lemma 1) and compiles the
+//!   router tables, and an [`crate::Evaluator`] simulates the plan.
 //!
 //! ```
 //! use bsor_routing::Baseline;
-//! use bsor_sim::{Evaluator, RouteAlgorithm, Scenario, SimConfig, SimEvaluator};
+//! use bsor_sim::{EvalPoint, Evaluator, Planner, Scenario, SimConfig, SimEvaluator};
 //! use bsor_flow::FlowSet;
 //! use bsor_topology::Topology;
 //!
@@ -26,13 +27,9 @@
 //! let mut flows = FlowSet::new();
 //! flows.push(mesh.node_at(0, 0).unwrap(), mesh.node_at(3, 3).unwrap(), 25.0);
 //! let scenario = Scenario::builder(mesh, flows).vcs(2).build()?;
+//! let plan = Planner::new().plan(&scenario, &Baseline::XY)?;
 //! let config = SimConfig::new(2).with_warmup(100).with_measurement(1_000);
-//! let experiment = scenario
-//!     .experiment(&Baseline::XY)
-//!     .config(config)
-//!     .rate(0.05);
-//! let plan = experiment.plan()?;
-//! let evaluation = SimEvaluator::new().evaluate(&plan, &experiment.eval_point())?;
+//! let evaluation = SimEvaluator::new().evaluate(&plan, &EvalPoint::new(0.05, config))?;
 //! assert!(evaluation.delivered > 0);
 //! # Ok(())
 //! # }
@@ -59,21 +56,19 @@
 //!
 //!     fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
 //!         // Consult ctx.topo / ctx.flows / ctx.vcs / ctx.cdg freely; the
-//!         // pipeline will reject the result if it is not deadlock-free.
+//!         // planner will reject the result if it is not deadlock-free.
 //!         let routes: Vec<Route> = ctx.flows.iter().map(|_f| todo!()).collect();
 //!         Ok(RouteSet::from_routes(routes))
 //!     }
 //! }
 //! ```
 
-use crate::config::{SimConfig, SimError};
-use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule};
 use bsor_cdg::{AcyclicCdg, CdgError, TurnModel};
 use bsor_flow::{FlowNetwork, FlowSet, FlowSetError};
 use bsor_routing::selectors::{
     AcObliviousSelector, DijkstraSelector, MilpSelector, RandomWalkSelector,
 };
-use bsor_routing::{deadlock, RouteError, RouteSet, SelectError};
+use bsor_routing::{RouteSet, SelectError};
 use bsor_topology::{TopoIndex, Topology, TopologyKind};
 use std::error::Error;
 use std::fmt;
@@ -160,11 +155,10 @@ impl From<SelectError> for AlgorithmError {
 ///
 /// * `routes` must return one route per flow, in flow order.
 /// * Routes need not be validated or proven deadlock-free by the
-///   implementation — [`Scenario::select_routes`] re-checks both
-///   (Lemma 1) and rejects offenders with
-///   [`ExperimentError::CyclicCdg`] — but algorithms are expected to be
-///   deadlock-free by construction, as every oblivious algorithm in the
-///   paper is.
+///   implementation — [`crate::Planner::plan`] re-checks both (Lemma 1)
+///   and rejects offenders with [`crate::PlanError::Deadlock`] — but
+///   algorithms are expected to be deadlock-free by construction, as
+///   every oblivious algorithm in the paper is.
 /// * Determinism: for a fixed context and configuration the same routes
 ///   must come back every time (randomized algorithms carry seeds).
 pub trait RouteAlgorithm {
@@ -312,91 +306,43 @@ impl RouteAlgorithm for MilpSelector {
     }
 }
 
-/// Errors from the scenario/experiment pipeline.
+/// Why a [`ScenarioBuilder`] could not build a [`Scenario`].
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
-pub enum ExperimentError {
+pub enum ScenarioError {
     /// The flow set failed validation against the topology.
     InvalidFlows(FlowSetError),
     /// No acyclic CDG could be derived for the scenario.
     Cdg(CdgError),
-    /// The routing algorithm failed.
-    Algorithm(AlgorithmError),
-    /// The algorithm produced routes whose induced channel dependence
-    /// graph is **cyclic** — running them could deadlock (paper
-    /// Lemma 1), so the pipeline refuses to simulate.
-    CyclicCdg {
-        /// The offending algorithm's display name.
-        algorithm: String,
-        /// Length of the dependence cycle found.
-        cycle_len: usize,
-    },
-    /// The routes are malformed (wrong endpoints, non-adjacent hops, …).
-    InvalidRoutes(RouteError),
-    /// The simulator rejected the scenario.
-    Sim(SimError),
 }
 
-impl fmt::Display for ExperimentError {
+impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExperimentError::InvalidFlows(e) => write!(f, "invalid flow set: {e}"),
-            ExperimentError::Cdg(e) => write!(f, "cannot derive an acyclic CDG: {e}"),
-            ExperimentError::Algorithm(e) => write!(f, "{e}"),
-            ExperimentError::CyclicCdg {
-                algorithm,
-                cycle_len,
-            } => write!(
-                f,
-                "{algorithm} produced routes with a {cycle_len}-long channel dependence \
-                 cycle (not deadlock-free, refusing to simulate)"
-            ),
-            ExperimentError::InvalidRoutes(e) => write!(f, "invalid routes: {e}"),
-            ExperimentError::Sim(e) => write!(f, "{e}"),
+            ScenarioError::InvalidFlows(e) => write!(f, "invalid flow set: {e}"),
+            ScenarioError::Cdg(e) => write!(f, "cannot derive an acyclic CDG: {e}"),
         }
     }
 }
 
-impl Error for ExperimentError {
+impl Error for ScenarioError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            ExperimentError::InvalidFlows(e) => Some(e),
-            ExperimentError::Cdg(e) => Some(e),
-            ExperimentError::Algorithm(e) => Some(e),
-            ExperimentError::InvalidRoutes(e) => Some(e),
-            ExperimentError::Sim(e) => Some(e),
-            ExperimentError::CyclicCdg { .. } => None,
+            ScenarioError::InvalidFlows(e) => Some(e),
+            ScenarioError::Cdg(e) => Some(e),
         }
     }
 }
 
-impl From<FlowSetError> for ExperimentError {
+impl From<FlowSetError> for ScenarioError {
     fn from(e: FlowSetError) -> Self {
-        ExperimentError::InvalidFlows(e)
+        ScenarioError::InvalidFlows(e)
     }
 }
 
-impl From<CdgError> for ExperimentError {
+impl From<CdgError> for ScenarioError {
     fn from(e: CdgError) -> Self {
-        ExperimentError::Cdg(e)
-    }
-}
-
-impl From<AlgorithmError> for ExperimentError {
-    fn from(e: AlgorithmError) -> Self {
-        ExperimentError::Algorithm(e)
-    }
-}
-
-impl From<RouteError> for ExperimentError {
-    fn from(e: RouteError) -> Self {
-        ExperimentError::InvalidRoutes(e)
-    }
-}
-
-impl From<SimError> for ExperimentError {
-    fn from(e: SimError) -> Self {
-        ExperimentError::Sim(e)
+        ScenarioError::Cdg(e)
     }
 }
 
@@ -509,9 +455,9 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::InvalidFlows`] for malformed flow sets,
-    /// [`ExperimentError::Cdg`] when no acyclic CDG can be derived.
-    pub fn build(self) -> Result<Scenario, ExperimentError> {
+    /// [`ScenarioError::InvalidFlows`] for malformed flow sets,
+    /// [`ScenarioError::Cdg`] when no acyclic CDG can be derived.
+    pub fn build(self) -> Result<Scenario, ScenarioError> {
         self.flows.validate(&self.topo)?;
         let cdg = match self.cdg {
             Some(cdg) => cdg,
@@ -585,160 +531,13 @@ impl Scenario {
             cdg: &self.cdg,
         }
     }
-
-    /// Runs `algorithm` and **validates** the result: one route per flow
-    /// with correct endpoints and VCs, and — the paper's Lemma 1 — an
-    /// acyclic induced channel dependence graph.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Algorithm`] when selection fails,
-    /// [`ExperimentError::InvalidRoutes`] for malformed routes, and
-    /// [`ExperimentError::CyclicCdg`] when the routes are not
-    /// deadlock-free.
-    pub fn select_routes(
-        &self,
-        algorithm: &dyn RouteAlgorithm,
-    ) -> Result<RouteSet, ExperimentError> {
-        let routes = algorithm.routes(&self.ctx())?;
-        routes.validate(&self.topo, &self.flows, self.vcs)?;
-        match deadlock::analyze(&self.topo, &routes, self.vcs) {
-            deadlock::DeadlockAnalysis::Free => Ok(routes),
-            deadlock::DeadlockAnalysis::Cyclic { cycle } => Err(ExperimentError::CyclicCdg {
-                algorithm: algorithm.name().to_owned(),
-                cycle_len: cycle.len(),
-            }),
-        }
-    }
-
-    /// Starts an [`Experiment`] pairing this scenario with `algorithm`.
-    pub fn experiment<'a>(&'a self, algorithm: &'a dyn RouteAlgorithm) -> Experiment<'a> {
-        Experiment {
-            scenario: self,
-            algorithm,
-            config: SimConfig::new(self.vcs),
-            rate: 1.0,
-            variation: None,
-            burst: None,
-            phases: None,
-        }
-    }
-}
-
-/// One scenario × one algorithm × one load point: a builder whose
-/// [`Experiment::plan`] solves the scenario through [`crate::Planner`]
-/// (route selection, Lemma-1 certification, table compilation) and
-/// whose [`Experiment::eval_point`] is the load point to hand an
-/// [`crate::Evaluator`] with that plan. Planning once and evaluating
-/// many points is what makes rate/burst/saturation sweeps cheap.
-#[derive(Clone)]
-pub struct Experiment<'a> {
-    scenario: &'a Scenario,
-    algorithm: &'a dyn RouteAlgorithm,
-    config: SimConfig,
-    rate: f64,
-    variation: Option<MarkovVariation>,
-    burst: Option<BurstyOnOff>,
-    phases: Option<PhaseSchedule>,
-}
-
-impl fmt::Debug for Experiment<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Experiment")
-            .field("scenario", &self.scenario.name)
-            .field("algorithm", &self.algorithm.name())
-            .field("rate", &self.rate)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> Experiment<'a> {
-    /// Overrides the simulator configuration (VC count is pinned to the
-    /// scenario's).
-    #[must_use]
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the aggregate offered injection rate in packets/cycle
-    /// (split across flows proportionally to their demands).
-    #[must_use]
-    pub fn rate(mut self, rate: f64) -> Self {
-        self.rate = rate;
-        self
-    }
-
-    /// Adds run-time bandwidth variation (paper §5.3).
-    #[must_use]
-    pub fn variation(mut self, variation: MarkovVariation) -> Self {
-        self.variation = Some(variation);
-        self
-    }
-
-    /// Switches injection to the on/off bursty arrival process.
-    #[must_use]
-    pub fn burst(mut self, burst: BurstyOnOff) -> Self {
-        self.burst = Some(burst);
-        self
-    }
-
-    /// Adds a multi-phase rate schedule (cycle-boundary switching).
-    #[must_use]
-    pub fn phases(mut self, phases: PhaseSchedule) -> Self {
-        self.phases = Some(phases);
-        self
-    }
-
-    /// The algorithm under test.
-    pub fn algorithm(&self) -> &dyn RouteAlgorithm {
-        self.algorithm
-    }
-
-    /// Selects and validates routes without simulating (see
-    /// [`Scenario::select_routes`]).
-    ///
-    /// # Errors
-    ///
-    /// Selection, validation and [`ExperimentError::CyclicCdg`] errors.
-    pub fn select_routes(&self) -> Result<RouteSet, ExperimentError> {
-        self.scenario.select_routes(self.algorithm)
-    }
-
-    /// The experiment's load point in [`crate::Evaluator`] terms.
-    pub fn eval_point(&self) -> crate::plan::EvalPoint {
-        let mut point = crate::plan::EvalPoint::new(self.rate, self.config.clone());
-        if let Some(v) = self.variation {
-            point = point.with_variation(v);
-        }
-        if let Some(b) = self.burst {
-            point = point.with_burst(b);
-        }
-        if let Some(p) = &self.phases {
-            point = point.with_phases(p.clone());
-        }
-        point
-    }
-
-    /// Plans the experiment's algorithm on its scenario (uncached; hold
-    /// the [`crate::RoutePlan`] yourself — or use a
-    /// [`crate::Planner`] with a cache — to evaluate many points).
-    ///
-    /// # Errors
-    ///
-    /// Planning failures, converted to their [`ExperimentError`]
-    /// equivalents.
-    pub fn plan(&self) -> Result<std::sync::Arc<crate::plan::RoutePlan>, ExperimentError> {
-        crate::plan::Planner::new()
-            .plan(self.scenario, self.algorithm)
-            .map_err(ExperimentError::from)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsor_routing::{Baseline, Route, RouteHop, VcMask};
+    use crate::{EvalPoint, PlanError, Planner, SimConfig, SimEvaluator};
+    use bsor_routing::{deadlock, Baseline, Route, RouteHop, VcMask};
     use bsor_topology::NodeId;
 
     fn mesh_flows(topo: &Topology) -> FlowSet {
@@ -759,8 +558,10 @@ mod tests {
         let flows = mesh_flows(&topo);
         let direct = Baseline::XY.select(&topo, &flows, 2).expect("xy");
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-        let via_trait = scenario.select_routes(&Baseline::XY).expect("xy via trait");
-        assert_eq!(direct, via_trait);
+        let via_trait = Planner::new()
+            .plan(&scenario, &Baseline::XY)
+            .expect("xy via trait");
+        assert_eq!(&direct, via_trait.routes());
     }
 
     #[test]
@@ -769,9 +570,13 @@ mod tests {
         let flows = mesh_flows(&topo);
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
         let selector = DijkstraSelector::new();
-        let routes = scenario.select_routes(&selector).expect("routable");
-        assert_eq!(routes.len(), scenario.flows().len());
-        assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 2));
+        let plan = Planner::new().plan(&scenario, &selector).expect("routable");
+        assert_eq!(plan.routes().len(), scenario.flows().len());
+        assert!(deadlock::is_deadlock_free(
+            scenario.topology(),
+            plan.routes(),
+            2
+        ));
     }
 
     #[test]
@@ -779,10 +584,10 @@ mod tests {
         let topo = Topology::hypercube(3);
         let flows = mesh_flows(&topo);
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-        let err = scenario.select_routes(&Baseline::XY).unwrap_err();
+        let err = Planner::new().plan(&scenario, &Baseline::XY).unwrap_err();
         assert!(matches!(
             err,
-            ExperimentError::Algorithm(AlgorithmError::UnsupportedTopology { .. })
+            PlanError::Algorithm(AlgorithmError::UnsupportedTopology { .. })
         ));
     }
 
@@ -793,17 +598,17 @@ mod tests {
         let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
         let algo = Baseline::Romm { seed: 1 };
         assert_eq!(RouteAlgorithm::required_vcs(&algo), 2);
-        let err = scenario.select_routes(&algo).unwrap_err();
+        let err = Planner::new().plan(&scenario, &algo).unwrap_err();
         assert!(matches!(
             err,
-            ExperimentError::Algorithm(AlgorithmError::Select(
+            PlanError::Algorithm(AlgorithmError::Select(
                 SelectError::NeedsVirtualChannels { .. }
             ))
         ));
     }
 
     /// An adversarial algorithm producing the canonical 2×2 turning-ring
-    /// deadlock; the pipeline must refuse it.
+    /// deadlock; the planner must refuse it.
     struct RingOfDeath;
 
     impl RouteAlgorithm for RingOfDeath {
@@ -847,18 +652,18 @@ mod tests {
         flows.push(n(1, 1), n(0, 0), 10.0);
         flows.push(n(1, 0), n(0, 1), 10.0);
         let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
-        let err = scenario.select_routes(&RingOfDeath).unwrap_err();
+        let err = Planner::new().plan(&scenario, &RingOfDeath).unwrap_err();
         match &err {
-            ExperimentError::CyclicCdg {
+            PlanError::Deadlock {
                 algorithm,
                 cycle_len,
             } => {
                 assert_eq!(algorithm, "ring-of-death");
                 assert_eq!(*cycle_len, 4);
             }
-            other => panic!("expected CyclicCdg, got {other:?}"),
+            other => panic!("expected Deadlock, got {other:?}"),
         }
-        assert!(err.to_string().contains("refusing to simulate"));
+        assert!(err.to_string().contains("refusing to plan"));
     }
 
     #[test]
@@ -870,11 +675,12 @@ mod tests {
             .vcs(2)
             .build()
             .expect("ok");
+        let plan = Planner::new()
+            .plan(&scenario, &Baseline::XY)
+            .expect("plans");
         let config = SimConfig::new(2).with_warmup(100).with_measurement(1_000);
-        let exp = scenario.experiment(&Baseline::XY).config(config).rate(0.2);
-        let plan = exp.plan().expect("plans");
-        let (report, _) = crate::plan::SimEvaluator::new()
-            .simulate(&plan, &exp.eval_point())
+        let (report, _) = SimEvaluator::new()
+            .simulate(&plan, &EvalPoint::new(0.2, config))
             .expect("runs");
         assert!(report.delivered_packets > 0);
         assert!(!report.deadlocked);
@@ -885,13 +691,11 @@ mod tests {
         let topo = Topology::mesh2d(4, 4);
         let flows = mesh_flows(&topo);
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-        let exp = scenario
-            .experiment(&Baseline::YX)
-            .config(SimConfig::new(2).with_warmup(100).with_measurement(500));
-        let plan = exp.plan().expect("yx");
+        let plan = Planner::new().plan(&scenario, &Baseline::YX).expect("yx");
+        let config = SimConfig::new(2).with_warmup(100).with_measurement(500);
         let run = |rate: f64| {
-            crate::plan::SimEvaluator::new()
-                .simulate(&plan, &exp.clone().rate(rate).eval_point())
+            SimEvaluator::new()
+                .simulate(&plan, &EvalPoint::new(rate, config.clone()))
                 .expect("simulates")
                 .0
         };
@@ -927,25 +731,28 @@ mod tests {
             let flows = mesh_flows(&topo);
             let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
             assert_eq!(scenario.cdg().name(), "up-down");
-            let routes = scenario
-                .select_routes(&DijkstraSelector::new())
+            let plan = Planner::new()
+                .plan(&scenario, &DijkstraSelector::new())
                 .expect("routable");
-            assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 1));
+            assert!(deadlock::is_deadlock_free(
+                scenario.topology(),
+                plan.routes(),
+                1
+            ));
         }
     }
 
     #[test]
     fn error_display_and_sources() {
-        let e = ExperimentError::CyclicCdg {
-            algorithm: "x".into(),
-            cycle_len: 3,
-        };
-        assert!(e.to_string().contains("deadlock"));
-        let e: ExperimentError = AlgorithmError::Failed("boom".into()).into();
-        assert_eq!(e.to_string(), "boom");
+        let e: ScenarioError = CdgError::NoValidTurnModel.into();
+        assert!(e.to_string().contains("cannot derive an acyclic CDG"));
         assert!(Error::source(&e).is_some());
-        let e: ExperimentError = FlowSetError::SelfFlow(bsor_flow::FlowId(0)).into();
+        let e: ScenarioError = FlowSetError::SelfFlow(bsor_flow::FlowId(0)).into();
         assert!(e.to_string().contains("invalid flow set"));
+        assert!(Error::source(&e).is_some());
+        let e = AlgorithmError::Failed("boom".into());
+        assert_eq!(e.to_string(), "boom");
+        assert!(Error::source(&e).is_none());
         let a = AlgorithmError::UnsupportedTopology {
             algorithm: "XY".into(),
             kind: TopologyKind::Hypercube,

@@ -103,8 +103,14 @@ impl BurstyOnOff {
     ///
     /// # Panics
     ///
-    /// Panics unless both means are at least one cycle.
+    /// Panics unless both means are finite and at least one cycle. An
+    /// infinite mean makes the duty cycle NaN or the on-stage rate
+    /// infinite.
     pub fn new(mean_on: f64, mean_off: f64) -> BurstyOnOff {
+        assert!(
+            mean_on.is_finite() && mean_off.is_finite(),
+            "dwell times must be finite"
+        );
         assert!(
             mean_on >= 1.0 && mean_off >= 1.0,
             "dwell times must be at least a cycle"
@@ -436,6 +442,12 @@ mod tests {
     #[should_panic(expected = "dwell")]
     fn burst_rejects_sub_cycle_dwell() {
         BurstyOnOff::new(0.5, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dwell times must be finite")]
+    fn burst_rejects_infinite_dwell() {
+        BurstyOnOff::new(5.0, f64::INFINITY);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Topology independence (paper §1.1, §3): the unified pipeline only
-//! needs a name the `TopologyRegistry` knows, so the same experiment
+//! needs a name the `TopologyRegistry` knows, so the same plan request
 //! runs unchanged on rings and tori where turn models do not apply —
 //! the BSOR framework falls back to ad-hoc cycle breaking there.
 //!
@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_topology
 //! ```
 
-use bsor::{BsorAlgorithm, Scenario, TopologyRegistry};
+use bsor::{BsorAlgorithm, Planner, Scenario, TopologyRegistry};
 use bsor_flow::FlowSet;
 use bsor_routing::deadlock;
 use bsor_topology::NodeId;
@@ -32,15 +32,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .named(format!("{family}-{w}x{h}"))
             .vcs(2)
             .build()?;
-        // One trait call routes every family: on meshes the framework
+        // One plan call routes every family: on meshes the framework
         // explores turn models, elsewhere ad-hoc acyclic CDGs.
-        let routes = scenario.select_routes(&BsorAlgorithm::dijkstra())?;
-        assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 2));
+        let plan = Planner::new().plan(&scenario, &BsorAlgorithm::dijkstra())?;
+        assert!(deadlock::is_deadlock_free(
+            scenario.topology(),
+            plan.routes(),
+            2
+        ));
         println!(
             "{}: MCL {:.1} MB/s, mean {:.2} hops, deadlock-free",
             scenario.name(),
-            routes.mcl(scenario.topology(), scenario.flows()),
-            routes.mean_hops()
+            plan.predicted_mcl(),
+            plan.routes().mean_hops()
         );
     }
     Ok(())

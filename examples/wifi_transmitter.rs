@@ -7,7 +7,7 @@
 //! cargo run --release --example wifi_transmitter
 //! ```
 
-use bsor::{AlgorithmRegistry, BsorAlgorithm, CdgStrategy, Scenario};
+use bsor::{AlgorithmRegistry, BsorAlgorithm, CdgStrategy, Planner, Scenario};
 use bsor_cdg::TurnModel;
 use bsor_routing::selectors::{MilpObjective, MilpSelector};
 use bsor_topology::Topology;
@@ -28,13 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Bandwidth-sensitive routing with static VC allocation.
-    let routes = scenario.select_routes(&BsorAlgorithm::dijkstra())?;
-    println!(
-        "BSOR-Dijkstra: MCL {:.2} MB/s",
-        routes.mcl(scenario.topology(), scenario.flows())
-    );
+    let planner = Planner::new();
+    let plan = planner.plan(&scenario, &BsorAlgorithm::dijkstra())?;
+    println!("BSOR-Dijkstra: MCL {:.2} MB/s", plan.predicted_mcl());
     // Every hop pins exactly one VC: static allocation (paper §4.2.2).
-    let static_hops = routes
+    let static_hops = plan
+        .routes()
         .iter()
         .flat_map(|r| r.hops.iter())
         .all(|h| h.vcs.count() == 1);
@@ -51,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .with_strategies(vec![CdgStrategy::TurnModel(
         TurnModel::negative_first().mirrored_y(),
     )]);
-    let shared = scenario.select_routes(&shared_algo)?;
+    let shared = planner.plan(&scenario, &shared_algo)?;
     println!(
         "flows-per-link objective: max {} flows share a channel (MCL {:.2} MB/s)",
-        shared.max_flows_per_link(scenario.topology()),
-        shared.mcl(scenario.topology(), scenario.flows())
+        shared.routes().max_flows_per_link(scenario.topology()),
+        shared.predicted_mcl()
     );
 
     // Baselines for context (Table 6.3's transmitter row), enumerated
@@ -64,12 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbaseline MCLs (MB/s):");
     for name in ["xy", "yx", "romm", "valiant", "o1turn"] {
         let algorithm = algorithms.get(name).expect("registered");
-        let routes = scenario.select_routes(algorithm)?;
-        println!(
-            "  {:8} {:7.2}",
-            algorithm.name(),
-            routes.mcl(scenario.topology(), scenario.flows())
-        );
+        let plan = planner.plan(&scenario, algorithm)?;
+        println!("  {:8} {:7.2}", algorithm.name(), plan.predicted_mcl());
     }
     Ok(())
 }

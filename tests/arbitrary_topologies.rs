@@ -9,7 +9,7 @@
 use bsor::{AlgorithmRegistry, BsorAlgorithm, Scenario, TopologyRegistry};
 use bsor_repro::flow::FlowSet;
 use bsor_repro::routing::{deadlock, SelectError};
-use bsor_repro::sim::{AlgorithmError, ExperimentError};
+use bsor_repro::sim::{AlgorithmError, PlanError, Planner};
 use bsor_repro::topology::{NodeId, Topology};
 use proptest::prelude::*;
 
@@ -64,17 +64,15 @@ fn every_algorithm_on_every_graph_family_is_deadlock_free_or_typed() {
             );
             for algo_name in algorithms.names() {
                 let algorithm = algorithms.get(algo_name).expect("listed names resolve");
-                match scenario.select_routes(algorithm) {
-                    Ok(routes) => {
-                        assert_eq!(routes.len(), scenario.flows().len());
+                match Planner::new().plan(&scenario, algorithm) {
+                    Ok(plan) => {
+                        assert_eq!(plan.routes().len(), scenario.flows().len());
                         assert!(
-                            deadlock::is_deadlock_free(scenario.topology(), &routes, vcs),
+                            deadlock::is_deadlock_free(scenario.topology(), plan.routes(), vcs),
                             "{algo_name} on {spec} at {vcs} VCs returned a cyclic route set"
                         );
                     }
-                    Err(ExperimentError::Algorithm(AlgorithmError::UnsupportedTopology {
-                        ..
-                    })) => {
+                    Err(PlanError::Algorithm(AlgorithmError::UnsupportedTopology { .. })) => {
                         // Dimension-order baselines legitimately refuse
                         // non-grid graphs; the framework may not.
                         assert!(
@@ -82,7 +80,7 @@ fn every_algorithm_on_every_graph_family_is_deadlock_free_or_typed() {
                             "{algo_name} refused {spec}, which it must support"
                         );
                     }
-                    Err(ExperimentError::Algorithm(AlgorithmError::Select(
+                    Err(PlanError::Algorithm(AlgorithmError::Select(
                         SelectError::BudgetExceeded { links, max_links },
                     ))) => {
                         // The AC oblivious LP refuses graphs over its
@@ -102,12 +100,12 @@ fn every_algorithm_on_every_graph_family_is_deadlock_free_or_typed() {
             // The one-VC run above is the escape-ordering path: with no
             // spare VC to break cycles, only the up*/down* rank keeps
             // every pair routable.
-            let routes = scenario
-                .select_routes(&BsorAlgorithm::dijkstra())
+            let plan = Planner::new()
+                .plan(&scenario, &BsorAlgorithm::dijkstra())
                 .expect("bsor-dijkstra routes every graph family");
             assert!(deadlock::is_deadlock_free(
                 scenario.topology(),
-                &routes,
+                plan.routes(),
                 vcs
             ));
         }
@@ -142,10 +140,11 @@ proptest! {
             flows.push(NodeId(0), NodeId(1), 1.0);
         }
         let scenario = Scenario::builder(topo, flows).vcs(vcs).build().expect("builds");
-        let routes = scenario
-            .select_routes(&BsorAlgorithm::dijkstra())
+        let plan = Planner::new()
+            .plan(&scenario, &BsorAlgorithm::dijkstra())
             .expect("bsor-dijkstra routes every graph family");
+        let routes = plan.routes();
         prop_assert!(routes.validate(scenario.topology(), scenario.flows(), vcs).is_ok());
-        prop_assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, vcs));
+        prop_assert!(deadlock::is_deadlock_free(scenario.topology(), routes, vcs));
     }
 }

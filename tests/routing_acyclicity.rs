@@ -39,11 +39,12 @@ fn xy_and_yx_induce_acyclic_cdg_on_all_meshes() {
                         .select(&topo, &flows, vcs)
                         .unwrap_or_else(|e| panic!("{baseline:?} on {w}x{h}: {e}"));
                     routes.validate(&topo, &flows, vcs).expect("valid routes");
-                    let analysis = deadlock::analyze(&topo, &routes, vcs);
+                    let certified = deadlock::certify(&topo, &routes, vcs);
                     assert!(
-                        analysis.is_free(),
+                        certified.is_ok(),
                         "{baseline:?} routes on {w}x{h} mesh ({vcs} VC) induce a CDG cycle: \
-                         {analysis:?}"
+                         {:?}",
+                        certified.err()
                     );
                 }
             }
@@ -98,17 +99,18 @@ proptest! {
             .run()
             .expect("grids with turn-model CDGs are always routable");
         result.routes.validate(&topo, &flows, 2).expect("valid routes");
-        let analysis = deadlock::analyze(&topo, &result.routes, 2);
+        let certified = deadlock::certify(&topo, &result.routes, 2);
         prop_assert!(
-            analysis.is_free(),
-            "BSOR routes (cdg {}) on {w}x{h} induce a CDG cycle: {analysis:?}",
-            result.cdg
+            certified.is_ok(),
+            "BSOR routes (cdg {}) on {w}x{h} induce a CDG cycle: {:?}",
+            result.cdg,
+            certified.err()
         );
 
         for baseline in [Baseline::XY, Baseline::YX] {
             let routes = baseline.select(&topo, &flows, 2).expect("dimension order");
             prop_assert!(
-                deadlock::analyze(&topo, &routes, 2).is_free(),
+                deadlock::is_deadlock_free(&topo, &routes, 2),
                 "{baseline:?} routes on {w}x{h} induce a CDG cycle"
             );
         }

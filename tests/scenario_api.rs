@@ -1,14 +1,16 @@
-//! The unified Scenario/Experiment API, exercised across every
-//! registry: a property test that every registered algorithm on every
-//! registered topology (smoke sizes, 2 VCs) yields a deadlock-free
-//! route set through the one `RouteAlgorithm` trait — or a *typed*
+//! The unified Scenario/Planner API, exercised across every registry: a
+//! property test that every registered algorithm on every registered
+//! topology (smoke sizes, 2 VCs) plans a deadlock-free route set
+//! through the one `RouteAlgorithm` trait — or a *typed*
 //! unsupported-topology error, never a panic — plus registry
 //! round-trips (`names()` → `get()` → run).
 
 use bsor::{AlgorithmRegistry, BsorAlgorithm, Scenario, TopologyRegistry, WorkloadRegistry};
 use bsor_repro::flow::FlowSet;
 use bsor_repro::routing::{deadlock, SelectError};
-use bsor_repro::sim::{AlgorithmError, Evaluator, ExperimentError, SimConfig, SimEvaluator};
+use bsor_repro::sim::{
+    AlgorithmError, EvalPoint, Evaluator, PlanError, Planner, SimConfig, SimEvaluator,
+};
 use bsor_repro::topology::{NodeId, Topology};
 
 /// Smoke-size dimensions per registered topology family.
@@ -59,15 +61,15 @@ fn every_algorithm_on_every_topology_is_deadlock_free_or_typed() {
             .expect("smoke scenarios build");
         for algo_name in algorithms.names() {
             let algorithm = algorithms.get(algo_name).expect("listed names resolve");
-            match scenario.select_routes(algorithm) {
-                Ok(routes) => {
-                    assert_eq!(routes.len(), scenario.flows().len());
+            match Planner::new().plan(&scenario, algorithm) {
+                Ok(plan) => {
+                    assert_eq!(plan.routes().len(), scenario.flows().len());
                     assert!(
-                        deadlock::is_deadlock_free(scenario.topology(), &routes, vcs),
+                        deadlock::is_deadlock_free(scenario.topology(), plan.routes(), vcs),
                         "{algo_name} on {topo_name} returned a cyclic route set"
                     );
                 }
-                Err(ExperimentError::Algorithm(AlgorithmError::UnsupportedTopology { .. })) => {
+                Err(PlanError::Algorithm(AlgorithmError::UnsupportedTopology { .. })) => {
                     // Dimension-order baselines legitimately refuse
                     // hypercubes; anything else must route.
                     assert_eq!(
@@ -75,7 +77,7 @@ fn every_algorithm_on_every_topology_is_deadlock_free_or_typed() {
                         "{algo_name} refused {topo_name}, which it should support"
                     );
                 }
-                Err(ExperimentError::Algorithm(AlgorithmError::Select(
+                Err(PlanError::Algorithm(AlgorithmError::Select(
                     SelectError::BudgetExceeded { links, max_links },
                 ))) => {
                     // The AC oblivious LP refuses smoke sizes over its
@@ -93,20 +95,20 @@ fn every_algorithm_on_every_topology_is_deadlock_free_or_typed() {
         }
         // The exploring framework must route *every* registered
         // topology, mesh or not — topology independence end-to-end.
-        let routes = scenario
-            .select_routes(&BsorAlgorithm::dijkstra())
+        let plan = Planner::new()
+            .plan(&scenario, &BsorAlgorithm::dijkstra())
             .expect("bsor-dijkstra routes every registered topology");
         assert!(deadlock::is_deadlock_free(
             scenario.topology(),
-            &routes,
+            plan.routes(),
             vcs
         ));
     }
 }
 
 /// `names()` → `get()` → run: every listed algorithm resolves and
-/// drives the full experiment pipeline (routes + simulation) on the
-/// paper's substrate.
+/// drives the full pipeline (plan + simulation) on the paper's
+/// substrate.
 #[test]
 fn algorithm_registry_round_trips_through_an_experiment() {
     let algorithms = AlgorithmRegistry::standard();
@@ -115,23 +117,23 @@ fn algorithm_registry_round_trips_through_an_experiment() {
     let topo = Topology::mesh2d(4, 4);
     let flows = shift_flows(&topo);
     let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
+    let point = EvalPoint::new(
+        0.2,
+        SimConfig::new(2).with_warmup(100).with_measurement(500),
+    );
     for name in names {
         let algorithm = algorithms.get(name).expect("listed names resolve");
-        let experiment = scenario
-            .experiment(algorithm)
-            .config(SimConfig::new(2).with_warmup(100).with_measurement(500))
-            .rate(0.2);
-        let plan = match experiment.plan() {
+        let plan = match Planner::new().plan(&scenario, algorithm) {
             Ok(plan) => plan,
             // The 4x4 mesh (48 directed links) is over the AC LP's
             // default budget; the typed refusal is the contract.
-            Err(ExperimentError::Algorithm(AlgorithmError::Select(
-                SelectError::BudgetExceeded { .. },
-            ))) if name == "ac-oblivious" => continue,
+            Err(PlanError::Algorithm(AlgorithmError::Select(SelectError::BudgetExceeded {
+                ..
+            }))) if name == "ac-oblivious" => continue,
             Err(e) => panic!("{name} failed to plan: {e}"),
         };
         let evaluation = SimEvaluator::new()
-            .evaluate(&plan, &experiment.eval_point())
+            .evaluate(&plan, &point)
             .unwrap_or_else(|e| panic!("{name} failed the pipeline: {e}"));
         assert!(!evaluation.deadlocked, "{name} deadlocked in simulation");
         assert!(evaluation.delivered > 0, "{name} delivered nothing");

@@ -3,12 +3,12 @@
 //! `ScenarioBuilder` into a Lemma-1 deadlock-free route set (or a typed
 //! error — never a panic, never a cyclic route set), the parameterized
 //! spec strings resolve from the same registry the sweep CLI uses, and
-//! the bursty/phase traffic knobs run through the `Experiment` pipeline.
+//! the bursty/phase traffic knobs run through a plan's evaluation.
 
 use bsor::{AlgorithmRegistry, Scenario, WorkloadRegistry};
 use bsor_repro::routing::deadlock;
 use bsor_repro::sim::{
-    BurstyOnOff, Evaluator, ExperimentError, PhaseSchedule, SimConfig, SimEvaluator,
+    BurstyOnOff, EvalPoint, Evaluator, PhaseSchedule, PlanError, Planner, SimConfig, SimEvaluator,
 };
 use bsor_repro::topology::Topology;
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn new_workload_specs() -> Vec<&'static str> {
     ]
 }
 
-/// Lemma 1 through the pipeline: `select_routes` already rejects cyclic
+/// Lemma 1 through the pipeline: `Planner::plan` already rejects cyclic
 /// route sets, so a success here *is* a deadlock-freedom proof; the
 /// explicit re-check keeps the property self-contained.
 #[test]
@@ -56,18 +56,18 @@ fn every_new_workload_x_every_algorithm_is_deadlock_free_or_typed() {
                 continue;
             }
             let algorithm = algorithms.get(algo_name).expect("listed name resolves");
-            match scenario.select_routes(algorithm) {
-                Ok(routes) => {
-                    assert_eq!(routes.len(), scenario.flows().len());
+            match Planner::new().plan(&scenario, algorithm) {
+                Ok(plan) => {
+                    assert_eq!(plan.routes().len(), scenario.flows().len());
                     assert!(
-                        deadlock::is_deadlock_free(scenario.topology(), &routes, vcs),
+                        deadlock::is_deadlock_free(scenario.topology(), plan.routes(), vcs),
                         "{algo_name} on {spec} returned a cyclic route set"
                     );
                 }
                 Err(
-                    ExperimentError::Algorithm(_)
-                    | ExperimentError::InvalidRoutes(_)
-                    | ExperimentError::CyclicCdg { .. },
+                    PlanError::Algorithm(_)
+                    | PlanError::InvalidRoutes(_)
+                    | PlanError::Deadlock { .. },
                 ) => {
                     // Typed refusal is acceptable; a panic or a cyclic
                     // set slipping through to simulation is not.
@@ -90,16 +90,13 @@ fn bursty_and_phased_traffic_run_through_the_experiment_pipeline() {
         .build()
         .expect("builds");
     let xy = algorithms.get("xy").expect("registered");
+    let plan = Planner::new().plan(&scenario, xy).expect("hotspot plans");
     let config = SimConfig::new(2).with_warmup(200).with_measurement(2_000);
-    let experiment = scenario
-        .experiment(xy)
-        .config(config)
-        .rate(0.2)
-        .burst(BurstyOnOff::new(30.0, 90.0))
-        .phases(PhaseSchedule::from_pairs([(400, 1.5), (400, 0.5)]));
-    let plan = experiment.plan().expect("hotspot plans");
+    let point = EvalPoint::new(0.2, config)
+        .with_burst(BurstyOnOff::new(30.0, 90.0))
+        .with_phases(PhaseSchedule::from_pairs([(400, 1.5), (400, 0.5)]));
     let evaluation = SimEvaluator::new()
-        .evaluate(&plan, &experiment.eval_point())
+        .evaluate(&plan, &point)
         .expect("bursty phased hotspot simulates");
     assert!(!evaluation.deadlocked);
     assert!(evaluation.delivered > 0);
@@ -128,11 +125,11 @@ proptest! {
                 .expect("builds");
             for algo_name in ["xy", "yx", "romm", "valiant", "o1turn", "bsor-dijkstra"] {
                 let algorithm = algorithms.get(algo_name).expect("registered");
-                let routes = scenario
-                    .select_routes(algorithm)
+                let plan = Planner::new()
+                    .plan(&scenario, algorithm)
                     .expect("meshes route every algorithm");
                 prop_assert!(
-                    deadlock::is_deadlock_free(scenario.topology(), &routes, 2),
+                    deadlock::is_deadlock_free(scenario.topology(), plan.routes(), 2),
                     "{} on {} returned a cyclic route set", algo_name, spec
                 );
             }

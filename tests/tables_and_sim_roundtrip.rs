@@ -3,7 +3,7 @@
 
 use bsor::BsorBuilder;
 use bsor_repro::flow::FlowSet;
-use bsor_repro::routing::tables::{NodeTables, SourceRouteTable};
+use bsor_repro::routing::tables::{NodeTables, RouteTables};
 use bsor_repro::routing::Baseline;
 use bsor_repro::sim::{SimConfig, Simulator, TrafficSpec};
 use bsor_repro::topology::Topology;
@@ -18,9 +18,8 @@ fn node_tables_reproduce_bsor_routes() {
         .run()
         .expect("routable");
     let tables = NodeTables::build(&topo, &result.routes);
-    let source = SourceRouteTable::build(&result.routes);
     for f in w.flows.iter() {
-        let walked = tables.walk(&topo, f.id, f.src);
+        let walked = tables.walk_route(&topo, f.id, f.src);
         let expected: Vec<_> = result
             .routes
             .route(f.id)
@@ -29,7 +28,6 @@ fn node_tables_reproduce_bsor_routes() {
             .map(|h| h.link)
             .collect();
         assert_eq!(walked, expected, "node tables must reproduce flow {}", f.id);
-        assert_eq!(source.route_flits(f.id), expected.as_slice());
     }
     // The paper's hardware argument: tables stay small (<= 256 entries).
     assert!(
