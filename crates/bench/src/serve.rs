@@ -706,6 +706,17 @@ mod tests {
                 r#"{"op":"plan","workload":"transpose","algorithm":"xy","vcs":255}"#,
                 "bad-request",
             ),
+            // Runs the generator could not finish are refused before
+            // the first cycle: a finite rate of 1e300, and a cycle count
+            // that wraps u64.
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":1e300,"backend":"sim"}"#,
+                "sim-rejected",
+            ),
+            (
+                r#"{"op":"evaluate","workload":"transpose","algorithm":"xy","rate":0.1,"backend":"sim","warmup":18446744073709551615,"measurement":1}"#,
+                "sim-rejected",
+            ),
             (r#"{"op":"invalidate"}"#, "bad-request"),
             (r#"{"op":"invalidate","links":[[0]]}"#, "bad-request"),
             (

@@ -176,6 +176,18 @@ pub enum SimError {
         /// The rate supplied.
         rate: f64,
     },
+    /// The run is larger than the engine can finish: its cycle count
+    /// overflows `u64`, or its peak packet count (each flow's peak
+    /// per-cycle rate, summed, × cycles) exceeds the `u32` packet-slot
+    /// ids. Refused before the first cycle.
+    RunTooLarge {
+        /// What was measured against the bound.
+        figure: &'static str,
+        /// The figure's value.
+        value: f64,
+        /// The largest value the engine accepts.
+        bound: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -198,6 +210,16 @@ impl fmt::Display for SimError {
             }
             SimError::BadRate { flow, rate } => {
                 write!(f, "flow {flow} has invalid injection rate {rate}")
+            }
+            SimError::RunTooLarge {
+                figure,
+                value,
+                bound,
+            } => {
+                write!(
+                    f,
+                    "run too large: {figure} is {value:e}, over the engine's bound of {bound}"
+                )
             }
         }
     }
@@ -265,5 +287,15 @@ mod tests {
         }
         .to_string()
         .is_empty());
+        assert_eq!(
+            SimError::RunTooLarge {
+                figure: "cycles (warmup + measurement + drain)",
+                value: 2.0f64.powi(64),
+                bound: u64::MAX,
+            }
+            .to_string(),
+            "run too large: cycles (warmup + measurement + drain) is 1.8446744073709552e19, \
+             over the engine's bound of 18446744073709551615"
+        );
     }
 }

@@ -4,7 +4,14 @@
 //!
 //! 1. **Generation** — Bernoulli or on/off bursty packet arrivals per
 //!    flow (optionally Markov-modulated, optionally phase-scheduled)
-//!    into per-node source queues.
+//!    into per-node source queues. A flow at rate `p` fires `trunc(p)`
+//!    packets and then one more with probability `fract(p)`, decided by
+//!    one 53-bit draw against an integer threshold. Plain Bernoulli
+//!    traffic (phase schedules allowed) computes every flow's
+//!    thresholds once per phase scale, so each flow costs one RNG draw
+//!    and one integer compare per cycle, and none at rate 0 or at an
+//!    integer rate. Packet creation runs out of line, off the per-flow
+//!    loop.
 //! 2. **RC + VA** — head flits at buffer fronts look up the node table
 //!    (packets carry a table index, paper §4.2.1) and request an output
 //!    VC within the hop's VC mask. VC allocation is *atomic*: a VC buffer
@@ -36,12 +43,19 @@
 //! * **Fast-forward** (`fast_forward`, default on): cycles where the
 //!   network is provably empty — no flit buffered in any VC, no backlog
 //!   in any source queue, nothing in the hop pipeline — skip the router
-//!   phases entirely. Packet generation still runs every cycle, so the
-//!   RNG stream (Bernoulli gap sampling, on/off dwell boundaries,
-//!   phase-schedule edges) is consumed identically and delivery timing
-//!   is provably unchanged: a flit sent on resume cycle `t` still lands
-//!   at the end of `t + pipeline_latency - 1` regardless of how many
-//!   pipeline slots were skipped.
+//!   phases entirely. Packet generation still runs every cycle (one
+//!   draw per flow with a fractional rate, plus the on/off and
+//!   variation dwell draws), so the RNG stream is consumed identically
+//!   and delivery timing is provably unchanged: a flit sent on resume
+//!   cycle `t` still lands at the end of `t + pipeline_latency - 1`
+//!   regardless of how many pipeline slots were skipped.
+//!
+//! Before the first cycle, [`Simulator::new`] refuses a run the
+//! generator could not finish ([`SimError::RunTooLarge`]): a cycle
+//! count that overflows `u64`, or a peak packet count (Σ of each
+//! flow's peak per-cycle rate × cycles) beyond the `u32` packet-slot
+//! ids. The bound also keeps every per-cycle rate below 2^53, where the
+//! threshold sampler is exact.
 
 use crate::config::{SimConfig, SimError};
 use crate::stats::{FlowStats, RunTiming, SimReport};
@@ -51,7 +65,7 @@ use bsor_routing::tables::{NodeTables, RouteTables};
 use bsor_routing::RouteSet;
 use bsor_topology::{LinkId, NodeId, TopoIndex, Topology};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -163,6 +177,7 @@ thread_local! {
 
 /// All router and run state the cycle loop mutates, stored as
 /// structure-of-arrays over the dense indices of a [`TopoIndex`].
+/// Generation state lives in the [`Injector`].
 ///
 /// Buffer indexing: the buffer downstream of link `l` on VC `v` is
 /// index `l * vcs + v`; node `n`'s injection-port buffer on VC `v` is
@@ -212,9 +227,6 @@ struct Network {
     local_bandwidth: usize,
     packet_len: usize,
 
-    rng: StdRng,
-    var_states: Vec<VariationState>,
-    burst_states: Vec<BurstState>,
     /// Flits sent this cycle: (flat destination buffer, flit), in
     /// switch order.
     sends: Vec<(u32, Flit)>,
@@ -249,76 +261,57 @@ impl Network {
         self.in_network_flits == 0 && self.backlog_flits == 0
     }
 
-    /// Packet generation for one cycle. Consumes the RNG stream
-    /// identically whether or not the cycle is fast-forwarded, which is
-    /// what keeps reports byte-identical.
-    fn generate<T: RouteTables>(
+    /// Queues `count` new packets of flow `i` at its source node.
+    ///
+    /// Out of line and cold on purpose: a flow fires on few of the
+    /// cycles the generation loop visits it, and keeping the slot, flit
+    /// and counter work out of that loop lets it hold its RNG and
+    /// per-flow arrays in registers.
+    #[cold]
+    #[inline(never)]
+    fn emit<T: RouteTables>(
         &mut self,
         flows: &FlowSet,
-        traffic: &TrafficSpec,
+        i: usize,
+        count: u32,
         tables: &T,
-        config: &SimConfig,
+        measuring: bool,
     ) {
-        let measuring = self.measuring(config);
-        // Phase scaling is deterministic (no RNG), so the default
-        // schedule-free path multiplies by exactly 1.0 and the seeded
-        // packet stream is bit-identical to the pre-schedule engine.
-        let phase_scale = traffic
-            .phases
-            .as_ref()
-            .map_or(1.0, |s| s.scale_at(self.cycle));
-        for i in 0..flows.len() {
-            let flow = flows.flow(FlowId(i as u32));
-            let mut p = traffic.rates[i] * phase_scale;
-            if let Some(var) = traffic.variation {
-                p *= self.var_states[i].step(&var, &mut self.rng);
-            }
-            if let InjectionProcess::OnOff(burst) = traffic.injection {
-                p = if self.burst_states[i].step(&burst, &mut self.rng) {
-                    p * burst.on_multiplier()
-                } else {
-                    0.0
-                };
-            }
-            while p > 0.0 {
-                let fire = if p >= 1.0 { true } else { self.rng.gen_bool(p) };
-                if fire {
-                    let slot = PacketSlot {
-                        entry_cycle: 0,
-                        tracked: measuring,
-                    };
-                    let packet = match self.free_slots.pop() {
-                        Some(id) => {
-                            self.slots[id as usize] = slot;
-                            id
-                        }
-                        None => {
-                            let id = u32::try_from(self.slots.len())
-                                .expect("live packets exceed u32 slots");
-                            self.slots.push(slot);
-                            id
-                        }
-                    };
-                    let len = config.packet_len;
-                    let cursor = Some(tables.initial_cursor(flow.id));
-                    let queue = &mut self.src_queues[flow.src.index()];
-                    for k in 0..len {
-                        queue.push_back(Flit {
-                            packet,
-                            flow: flow.id,
-                            is_head: k == 0,
-                            is_tail: k == len - 1,
-                            cursor: if k == 0 { cursor } else { None },
-                        });
-                    }
-                    self.backlog_flits += len as u64;
-                    if measuring {
-                        self.stats[flow.id.index()].generated += 1;
-                        self.generated_total += 1;
-                    }
+        let flow = flows.flow(FlowId(i as u32));
+        let cursor = Some(tables.initial_cursor(flow.id));
+        let len = self.packet_len;
+        for _ in 0..count {
+            let slot = PacketSlot {
+                entry_cycle: 0,
+                tracked: measuring,
+            };
+            let packet = match self.free_slots.pop() {
+                Some(id) => {
+                    self.slots[id as usize] = slot;
+                    id
                 }
-                p -= 1.0;
+                None => {
+                    let id =
+                        u32::try_from(self.slots.len()).expect("live packets exceed u32 slots");
+                    self.slots.push(slot);
+                    id
+                }
+            };
+            let queue = &mut self.src_queues[flow.src.index()];
+            for k in 0..len {
+                queue.push_back(Flit {
+                    packet,
+                    flow: flow.id,
+                    is_head: k == 0,
+                    is_tail: k == len - 1,
+                    cursor: if k == 0 { cursor } else { None },
+                });
             }
+        }
+        self.backlog_flits += u64::from(count) * len as u64;
+        if measuring {
+            self.stats[i].generated += u64::from(count);
+            self.generated_total += u64::from(count);
         }
     }
 
@@ -633,6 +626,183 @@ impl Network {
 }
 
 // ---------------------------------------------------------------------------
+// Packet generation
+// ---------------------------------------------------------------------------
+
+/// 2^53: `gen_bool` compares the top 53 bits of a draw, `0..2^53`.
+const DRAW_UNIT: f64 = 9_007_199_254_740_992.0;
+
+/// One flow's arrivals in a cycle at a rate `p < 2^53`: `sure` packets
+/// always fire, then one more when a 53-bit draw `m` is below
+/// `threshold`. No draw is made when `threshold` is 0.
+///
+/// This is exactly the `while p > 0 { fire if p >= 1 or gen_bool(p);
+/// p -= 1 }` loop the engine used to run. Below 2^53 every subtraction
+/// is exact, so that loop fires `trunc(p)` times and then draws once on
+/// `fract(p)` when it is non-zero. `gen_bool(f)` fires when
+/// `m * 2^-53 < f` for `m = x >> 11`; both `m * 2^-53` and `f * 2^53`
+/// are exact, and an integer `m` is below `f * 2^53` exactly when it is
+/// below `ceil(f * 2^53)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Arrivals {
+    sure: u32,
+    threshold: u64,
+}
+
+impl Arrivals {
+    /// The arrivals at rate `p` (finite, non-negative; the run-size
+    /// check in [`Simulator::new`] keeps it below 2^53).
+    fn at(p: f64) -> Arrivals {
+        let whole = p.trunc();
+        Arrivals {
+            sure: whole as u32,
+            threshold: ((p - whole) * DRAW_UNIT).ceil() as u64,
+        }
+    }
+
+    /// Packets fired this cycle.
+    #[inline]
+    fn sample(self, rng: &mut impl RngCore) -> u32 {
+        let extra = self.threshold != 0 && (rng.next_u64() >> 11) < self.threshold;
+        self.sure + u32::from(extra)
+    }
+}
+
+/// Packet-generation state: the RNG, each flow's modulation stages, and
+/// each flow's arrivals at the current phase scale. It lives apart from
+/// the [`Network`] the packets go into, so the per-flow loop reads its
+/// arrays outside the network that [`Network::emit`] mutates.
+struct Injector {
+    rng: StdRng,
+    /// Each flow's arrivals at `scale`; plain Bernoulli traffic only.
+    arrivals: Vec<Arrivals>,
+    /// The phase scale `arrivals` holds (NaN until the first cycle).
+    scale: f64,
+    var_states: Vec<VariationState>,
+    burst_states: Vec<BurstState>,
+}
+
+impl Injector {
+    fn new(seed: u64, flows: usize) -> Injector {
+        Injector {
+            rng: StdRng::seed_from_u64(seed),
+            arrivals: Vec::with_capacity(flows),
+            scale: f64::NAN,
+            var_states: (0..flows).map(|_| VariationState::new()).collect(),
+            burst_states: (0..flows).map(|_| BurstState::new()).collect(),
+        }
+    }
+
+    /// Packet generation for one cycle. Consumes the RNG stream
+    /// identically whether or not the cycle is fast-forwarded, which is
+    /// what keeps reports byte-identical.
+    fn generate<T: RouteTables>(
+        &mut self,
+        net: &mut Network,
+        flows: &FlowSet,
+        traffic: &TrafficSpec,
+        tables: &T,
+        ctx: CycleCtx,
+    ) {
+        // Phase scaling is deterministic (no RNG), so the default
+        // schedule-free path multiplies by exactly 1.0 and the seeded
+        // packet stream is bit-identical to the pre-schedule engine.
+        let scale = traffic
+            .phases
+            .as_ref()
+            .map_or(1.0, |s| s.scale_at(ctx.cycle));
+        // Each loop draws from its own local copy of the RNG; keep them
+        // apart. The plain loop's copy never escapes (`sample` inlines),
+        // so its state stays in registers across the out-of-line packet
+        // path. A copy shared with the modulated loop, which passes it
+        // to the stage `step`s, would live on the stack.
+        if traffic.variation.is_none() && traffic.injection == InjectionProcess::Bernoulli {
+            if scale != self.scale {
+                self.scale = scale;
+                self.arrivals.clear();
+                self.arrivals
+                    .extend(traffic.rates.iter().map(|&r| Arrivals::at(r * scale)));
+            }
+            let mut rng = self.rng.clone();
+            for (i, arrivals) in self.arrivals.iter().enumerate() {
+                let count = arrivals.sample(&mut rng);
+                if count != 0 {
+                    net.emit(flows, i, count, tables, ctx.measuring);
+                }
+            }
+            self.rng = rng;
+        } else {
+            // Per flow: the variation stage steps, then the on/off stage,
+            // then the arrival draw — the order the RNG stream is pinned
+            // to.
+            let mut rng = self.rng.clone();
+            for (i, &rate) in traffic.rates.iter().enumerate() {
+                let mut p = rate * scale;
+                if let Some(var) = &traffic.variation {
+                    p *= self.var_states[i].step(var, &mut rng);
+                }
+                if let InjectionProcess::OnOff(burst) = &traffic.injection {
+                    p = if self.burst_states[i].step(burst, &mut rng) {
+                        p * burst.on_multiplier()
+                    } else {
+                        0.0
+                    };
+                }
+                let count = Arrivals::at(p).sample(&mut rng);
+                if count != 0 {
+                    net.emit(flows, i, count, tables, ctx.measuring);
+                }
+            }
+            self.rng = rng;
+        }
+    }
+}
+
+/// Refuses a run the generator could not finish: a cycle count that
+/// overflows `u64`, or a peak packet count beyond the `u32` packet-slot
+/// ids. A flow's peak per-cycle rate is its base rate × the largest
+/// phase scale × (1 + the variation fraction) × the on/off multiplier,
+/// in the order the generator multiplies them, so no cycle's rate can
+/// exceed it. The bound also keeps every rate below 2^53, where
+/// [`Arrivals`] is exact.
+fn check_run_size(traffic: &TrafficSpec, config: &SimConfig) -> Result<(), SimError> {
+    let cycles = config
+        .warmup
+        .checked_add(config.measurement)
+        .and_then(|c| c.checked_add(config.drain));
+    let Some(cycles) = cycles else {
+        return Err(SimError::RunTooLarge {
+            figure: "cycles (warmup + measurement + drain)",
+            value: config.warmup as f64 + config.measurement as f64 + config.drain as f64,
+            bound: u64::MAX,
+        });
+    };
+    let scale = traffic.phases.as_ref().map_or(1.0, |s| {
+        s.phases().iter().map(|p| p.scale).fold(0.0, f64::max)
+    });
+    let variation = traffic.variation.map_or(1.0, |v| 1.0 + v.fraction);
+    let burst = match traffic.injection {
+        InjectionProcess::OnOff(b) => b.on_multiplier(),
+        InjectionProcess::Bernoulli => 1.0,
+    };
+    let peak: f64 = traffic
+        .rates
+        .iter()
+        .map(|&r| r * scale * variation * burst)
+        .sum();
+    let packets = peak * cycles as f64;
+    // An infinite peak over zero cycles gives NaN, refused too.
+    if packets.is_nan() || packets > f64::from(u32::MAX) {
+        return Err(SimError::RunTooLarge {
+            figure: "peak packets (sum of per-flow peak rates x cycles)",
+            value: packets,
+            bound: u64::from(u32::MAX),
+        });
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // The simulator
 // ---------------------------------------------------------------------------
 
@@ -658,6 +828,7 @@ pub struct Simulator<'a, T: RouteTables + Clone = NodeTables> {
     traffic: TrafficSpec,
     index: TopoIndex,
     net: Network,
+    injector: Injector,
 }
 
 impl<'a> Simulator<'a> {
@@ -744,6 +915,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
                 return Err(SimError::BadRate { flow: i, rate: r });
             }
         }
+        check_run_size(&traffic, &config)?;
         for route in routes.iter() {
             if !route.hops.iter().all(|hop| hop.vcs.fits(config.vcs)) {
                 return Err(SimError::VcOutOfRange { vcs: config.vcs });
@@ -841,9 +1013,6 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             buffer_depth: config.buffer_depth,
             local_bandwidth: config.local_bandwidth,
             packet_len: config.packet_len,
-            rng: StdRng::seed_from_u64(config.seed),
-            var_states: (0..flows.len()).map(|_| VariationState::new()).collect(),
-            burst_states: (0..flows.len()).map(|_| BurstState::new()).collect(),
             sends: Vec::new(),
             in_transit: VecDeque::new(),
             spare_sends: Vec::new(),
@@ -856,6 +1025,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             delivered_total: 0,
             delivered_flits: 0,
         };
+        let injector = Injector::new(config.seed, flows.len());
         Ok(Simulator {
             topo,
             flows,
@@ -864,6 +1034,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             traffic,
             index,
             net,
+            injector,
         })
     }
 
@@ -905,15 +1076,16 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
         let tables: &T = self.tables.as_ref();
         let net = &mut self.net;
         while net.cycle < total {
-            net.generate(self.flows, &self.traffic, tables, config);
-            if config.fast_forward && net.network_empty() {
-                net.cycle += 1;
-                continue;
-            }
             let ctx = CycleCtx {
                 cycle: net.cycle,
                 measuring: net.measuring(config),
             };
+            self.injector
+                .generate(net, self.flows, &self.traffic, tables, ctx);
+            if config.fast_forward && net.network_empty() {
+                net.cycle += 1;
+                continue;
+            }
             for n in 0..nn {
                 if net.node_occ[n] > 0 {
                     net.route_node(n, tables);
@@ -1482,5 +1654,191 @@ mod tests {
             let out = topo.find_link(hub, leaf(i + 1)).expect("star edge");
             assert!(report.link_flits[out.index()] > 0, "hub -> leaf{}", i + 1);
         }
+    }
+
+    // --- generation sampler and run-size refusal ---------------------------
+
+    /// Returns one fixed draw and counts how often it is asked for one.
+    struct FixedDraw {
+        x: u64,
+        draws: u32,
+    }
+
+    impl RngCore for FixedDraw {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.x
+        }
+    }
+
+    /// The generation loop [`Arrivals`] replaced, kept as its reference.
+    fn reference_count(mut p: f64, rng: &mut FixedDraw) -> u32 {
+        use rand::Rng;
+        let mut count = 0;
+        while p > 0.0 {
+            if p >= 1.0 || rng.gen_bool(p) {
+                count += 1;
+            }
+            p -= 1.0;
+        }
+        count
+    }
+
+    /// Checks [`Arrivals`] against the reference loop at rate `p` for
+    /// the draw `x` and for draws whose top 53 bits sit just below and
+    /// at the threshold: same packet count, same number of draws.
+    fn check_arrivals(p: f64, x: u64) -> Result<(), proptest::test_runner::TestCaseError> {
+        let threshold = Arrivals::at(p).threshold;
+        let low_bits = x & 0x7ff;
+        for m in [
+            x >> 11,
+            threshold.saturating_sub(1),
+            threshold.min((1 << 53) - 1),
+        ] {
+            let x = (m << 11) | low_bits;
+            let mut reference = FixedDraw { x, draws: 0 };
+            let mut sampled = FixedDraw { x, draws: 0 };
+            let expected = reference_count(p, &mut reference);
+            proptest::prop_assert_eq!(
+                Arrivals::at(p).sample(&mut sampled),
+                expected,
+                "p = {:e}, x = {:#x}",
+                p,
+                x
+            );
+            proptest::prop_assert_eq!(sampled.draws, reference.draws, "p = {:e}", p);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn threshold_compare_equals_gen_bool_at_the_edges() {
+        let third = 1.0 / 3.0;
+        for p in [
+            0.0,
+            f64::from_bits(1), // 2^-1074, the smallest positive double
+            1e-9,
+            0.1,
+            third,
+            0.5,
+            1.0 - f64::EPSILON / 2.0, // 1 - 2^-53, the largest double below 1
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            2.5,
+            2.0 + third,
+            1e6 + 0.25,
+        ] {
+            for x in [0, 1 << 11, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
+                check_arrivals(p, x).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+        // Zero and integer rates fire without drawing.
+        assert_eq!(Arrivals::at(0.0), Arrivals::default());
+        assert_eq!(
+            Arrivals::at(3.0),
+            Arrivals {
+                sure: 3,
+                threshold: 0
+            }
+        );
+        assert_eq!(Arrivals::at(0.5).threshold, 1 << 52);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Every positive double below 1 (drawn by bit pattern, so tiny
+        /// and subnormal rates are as likely as large ones), plus 0-3
+        /// whole packets, against random draws.
+        #[test]
+        fn threshold_compare_equals_gen_bool(
+            bits in 1u64..0x3ff0_0000_0000_0000,
+            whole in 0u32..4,
+            x in ..,
+        ) {
+            check_arrivals(f64::from_bits(bits) + f64::from(whole), x)?;
+        }
+    }
+
+    /// The figure a refused run names.
+    fn refused(traffic: TrafficSpec, config: SimConfig) -> Option<&'static str> {
+        let (topo, flows) = mesh_and_flows();
+        let routes = Baseline::XY.select(&topo, &flows, 2).expect("xy");
+        let result = Simulator::new(&topo, &flows, &routes, traffic, config);
+        match result {
+            Ok(_) => None,
+            Err(SimError::RunTooLarge { figure, .. }) => Some(figure),
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    // `mesh_and_flows` has 16 flows and `quick_config` runs 4,500
+    // cycles, so a uniform per-flow rate r offers 72,000 r peak packets
+    // against the 4,294,967,295 slot ids. Accepted runs are only
+    // assembled, never run.
+    const PACKETS: &str = "peak packets (sum of per-flow peak rates x cycles)";
+
+    #[test]
+    fn plain_runs_over_the_packet_bound_are_refused() {
+        let (_, flows) = mesh_and_flows();
+        let spec = |rate| TrafficSpec::uniform(&flows, rate);
+        assert_eq!(refused(spec(1e300), quick_config()), Some(PACKETS));
+        assert_eq!(refused(spec(60_000.0), quick_config()), Some(PACKETS));
+        assert_eq!(refused(spec(59_000.0), quick_config()), None);
+    }
+
+    #[test]
+    fn the_packet_bound_applies_after_the_burst_multiplier() {
+        use crate::traffic::BurstyOnOff;
+        let (_, flows) = mesh_and_flows();
+        let spec = |rate, burst| TrafficSpec::uniform(&flows, rate).with_burst(burst);
+        // The on-stage multiplier of a 1e300-cycle off stage is ~1e300.
+        let endless = BurstyOnOff::new(1.0, 1e300);
+        assert_eq!(refused(spec(0.1, endless), quick_config()), Some(PACKETS));
+        // 10,000 per flow fits plain, not at ten times that while on.
+        let tenth = BurstyOnOff::new(1.0, 9.0);
+        assert_eq!(
+            refused(spec(10_000.0, tenth), quick_config()),
+            Some(PACKETS)
+        );
+        assert_eq!(refused(spec(1_000.0, tenth), quick_config()), None);
+    }
+
+    #[test]
+    fn the_packet_bound_uses_the_largest_phase_scale() {
+        use crate::traffic::PhaseSchedule;
+        let (_, flows) = mesh_and_flows();
+        let spec = |pairs: [(u64, f64); 2]| {
+            TrafficSpec::uniform(&flows, 10_000.0).with_phases(PhaseSchedule::from_pairs(pairs))
+        };
+        let peak_late = [(4_000, 0.5), (500, 10.0)];
+        assert_eq!(refused(spec(peak_late), quick_config()), Some(PACKETS));
+        assert_eq!(refused(spec([(10, 1.0), (10, 0.5)]), quick_config()), None);
+    }
+
+    #[test]
+    fn the_packet_bound_includes_the_variation_fraction() {
+        use crate::traffic::MarkovVariation;
+        let (_, flows) = mesh_and_flows();
+        let spec = TrafficSpec::uniform(&flows, 40_000.0);
+        assert_eq!(refused(spec.clone(), quick_config()), None);
+        let varied = spec.with_variation(MarkovVariation::new(0.9, 10.0));
+        assert_eq!(refused(varied, quick_config()), Some(PACKETS));
+    }
+
+    #[test]
+    fn cycle_counts_that_overflow_are_refused_at_any_rate() {
+        let (_, flows) = mesh_and_flows();
+        let wrapped = quick_config().with_warmup(u64::MAX).with_measurement(1);
+        for rate in [0.0, 0.1] {
+            assert_eq!(
+                refused(TrafficSpec::uniform(&flows, rate), wrapped.clone()),
+                Some("cycles (warmup + measurement + drain)")
+            );
+        }
+        let mut drained = quick_config().with_measurement(u64::MAX - 500);
+        drained.drain = 1;
+        assert!(refused(TrafficSpec::uniform(&flows, 0.0), drained).is_some());
     }
 }

@@ -2,10 +2,13 @@
 //! cross-checks the arena engine on small meshes at low load.
 //!
 //! The reference replays the engine's *exact* packet-generation RNG
-//! stream (same `StdRng` seed, same per-flow `gen_bool` draw order), so
-//! generated-packet counts must match the engine bit-for-bit — any
-//! divergence in the engine's generation loop, flow indexing or
-//! measurement-window accounting shows up as a hard count mismatch.
+//! stream (same `StdRng` seed, same per-flow draw order, with the
+//! original `while p > 0 { gen_bool(p) }` loop instead of the engine's
+//! integer thresholds), so generated-packet counts must match the
+//! engine bit-for-bit — any divergence in the engine's generation loop,
+//! flow indexing or measurement-window accounting shows up as a hard
+//! count mismatch. A proptest extends that count check to rates at and
+//! above one packet per cycle, where the network saturates.
 //! Delivery timing is then modeled with a single FIFO queue per link
 //! (one flit per cycle, wormhole occupancy of `packet_len` cycles),
 //! processing packets in injection order with no switch arbitration —
@@ -18,11 +21,49 @@
 use bsor_flow::FlowSet;
 use bsor_routing::{Baseline, RouteSet};
 use bsor_sim::{
-    BurstyOnOff, InjectionProcess, PhaseSchedule, SimConfig, SimReport, Simulator, TrafficSpec,
+    BurstyOnOff, InjectionProcess, MarkovVariation, PhaseSchedule, SimConfig, SimReport, Simulator,
+    TrafficSpec,
 };
 use bsor_topology::{NodeId, Topology};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// In-test replica of the engine's per-flow Markov variation stage
+/// (`VariationState`, crate-private like `BurstState`), kept so any
+/// drift in the engine's RNG consumption order breaks the replay.
+#[derive(Clone)]
+struct OracleVariation {
+    multiplier: f64,
+    cycles_left: u64,
+    deviated: bool,
+}
+
+impl OracleVariation {
+    fn new() -> OracleVariation {
+        OracleVariation {
+            multiplier: 1.0,
+            cycles_left: 0,
+            deviated: true,
+        }
+    }
+
+    fn step(&mut self, params: &MarkovVariation, rng: &mut StdRng) -> f64 {
+        if self.cycles_left == 0 {
+            self.deviated = !self.deviated;
+            let p = 1.0 / params.mean_dwell;
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            self.cycles_left = (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64;
+            self.multiplier = if self.deviated {
+                1.0 + rng.gen_range(-params.fraction..=params.fraction)
+            } else {
+                1.0
+            };
+        }
+        self.cycles_left -= 1;
+        self.multiplier
+    }
+}
 
 /// In-test replica of the engine's per-flow on/off stage tracker. The
 /// engine's `BurstState` is crate-private by design; the oracle keeps
@@ -72,31 +113,29 @@ struct OracleReport {
     tracked: u64,
 }
 
-/// The naive single-queue reference: replay the engine's generation RNG
-/// exactly, then push each packet through its route against per-link
-/// FIFO availability times, in injection order.
-fn oracle_run(
-    topo: &Topology,
-    flows: &FlowSet,
-    routes: &RouteSet,
-    traffic: &TrafficSpec,
-    config: &SimConfig,
-) -> OracleReport {
+/// One generated packet: its cycle, its flow, and whether it falls in
+/// the measurement window.
+type OraclePacket = (u64, usize, bool);
+
+/// Replays the engine's generation RNG stream naively: per cycle, per
+/// flow, the variation stage steps, then the on/off stage, then the
+/// `while p > 0 { fire if p >= 1 or gen_bool(p); p -= 1 }` arrival loop.
+/// Returns the packets in engine generation order.
+fn oracle_generate(traffic: &TrafficSpec, config: &SimConfig) -> Vec<OraclePacket> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let total = config.warmup + config.measurement + config.drain;
     let window = config.warmup..config.warmup + config.measurement;
-    let mut generated_per_flow = vec![0u64; flows.len()];
-    assert!(
-        traffic.variation.is_none(),
-        "the oracle replays burst and phase schedules, not Markov variation"
-    );
-    let mut burst_states = vec![OracleBurst::new(); flows.len()];
-    // (cycle, flow, tracked) in exact engine generation order.
-    let mut packets: Vec<(u64, usize, bool)> = Vec::new();
+    let flows = traffic.rates.len();
+    let mut variation_states = vec![OracleVariation::new(); flows];
+    let mut burst_states = vec![OracleBurst::new(); flows];
+    let mut packets = Vec::new();
     for cycle in 0..total {
         let phase_scale = traffic.phases.as_ref().map_or(1.0, |s| s.scale_at(cycle));
         for (i, &rate) in traffic.rates.iter().enumerate() {
             let mut p = rate * phase_scale;
+            if let Some(variation) = &traffic.variation {
+                p *= variation_states[i].step(variation, &mut rng);
+            }
             if let InjectionProcess::OnOff(burst) = traffic.injection {
                 p = if burst_states[i].step(&burst, &mut rng) {
                     p * burst.on_multiplier()
@@ -107,16 +146,39 @@ fn oracle_run(
             while p > 0.0 {
                 let fire = if p >= 1.0 { true } else { rng.gen_bool(p) };
                 if fire {
-                    let tracked = window.contains(&cycle);
-                    if tracked {
-                        generated_per_flow[i] += 1;
-                    }
-                    packets.push((cycle, i, tracked));
+                    packets.push((cycle, i, window.contains(&cycle)));
                 }
                 p -= 1.0;
             }
         }
     }
+    packets
+}
+
+/// Measurement-window packets per flow.
+fn generated_per_flow(packets: &[OraclePacket], flows: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; flows];
+    for &(_, flow, tracked) in packets {
+        if tracked {
+            counts[flow] += 1;
+        }
+    }
+    counts
+}
+
+/// The naive single-queue reference: replay the engine's generation RNG
+/// exactly, then push each packet through its route against per-link
+/// FIFO availability times, in injection order.
+fn oracle_run(
+    topo: &Topology,
+    flows: &FlowSet,
+    routes: &RouteSet,
+    traffic: &TrafficSpec,
+    config: &SimConfig,
+) -> OracleReport {
+    let window = config.warmup..config.warmup + config.measurement;
+    let packets = oracle_generate(traffic, config);
+    let generated_per_flow = generated_per_flow(&packets, flows.len());
     // Naive timing: every link is one FIFO server moving one flit per
     // cycle; a packet occupies each link for `packet_len` cycles. The
     // zero-contention latency is `hops + packet_len`, matching the
@@ -318,4 +380,67 @@ fn oracle_matches_engine_with_bursts_and_phases_combined() {
         .with_burst(BurstyOnOff::new(50.0, 150.0))
         .with_phases(PhaseSchedule::from_pairs([(300, 1.2), (300, 0.4)]));
     cross_check_traffic(topo, flows, traffic, 23, 0.25);
+}
+
+#[test]
+fn oracle_matches_engine_with_markov_variation() {
+    // The variation stage draws its dwell and multiplier before the
+    // arrival draw; the oracle's copy of it must stay in step.
+    for seed in [13, 808] {
+        let topo = Topology::mesh2d(4, 4);
+        let w = bsor_workloads::transpose(&topo).expect("4x4 is square");
+        let traffic = TrafficSpec::proportional(&w.flows, 0.08)
+            .with_variation(MarkovVariation::new(0.5, 40.0));
+        cross_check_traffic(topo, w.flows, traffic, seed, 0.15);
+    }
+}
+
+/// Per-flow rates the generation proptest draws from: zero, tiny, a
+/// non-dyadic fraction, the largest double below one (1 - 2^-53), and
+/// whole and mixed rates at and above one packet per cycle.
+const RATES: [f64; 7] = [0.0, 1e-9, 0.3, 1.0 - f64::EPSILON / 2.0, 1.0, 2.0, 2.5];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For random per-flow rates, with and without a phase schedule
+    /// (whose scales carry rates across integers and to zero), on/off
+    /// bursts and Markov variation, and with fast-forward on and off,
+    /// the engine generates exactly the oracle's packets per flow.
+    /// High rates saturate the network, so only counts are compared.
+    #[test]
+    fn engine_generation_counts_match_the_oracle(
+        picks in prop::collection::vec(0usize..RATES.len(), 9),
+        shape in 0u8..8,
+        fast_forward in 0u8..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let topo = Topology::mesh2d(3, 3);
+        let flows = mesh3_flows(&topo);
+        let mut traffic = TrafficSpec::uniform(&flows, 0.0);
+        traffic.rates = picks.iter().map(|&k| RATES[k]).collect();
+        if shape & 1 != 0 {
+            traffic = traffic
+                .with_phases(PhaseSchedule::from_pairs([(40, 1.7), (30, 0.3), (30, 0.0)]));
+        }
+        if shape & 2 != 0 {
+            traffic = traffic.with_burst(BurstyOnOff::new(10.0, 30.0));
+        }
+        if shape & 4 != 0 {
+            traffic = traffic.with_variation(MarkovVariation::new(0.5, 20.0));
+        }
+        let routes = Baseline::XY.select(&topo, &flows, 2).expect("xy routes");
+        let config = SimConfig::new(2)
+            .with_warmup(100)
+            .with_measurement(300)
+            .with_packet_len(4)
+            .with_seed(seed)
+            .with_fast_forward(fast_forward == 1);
+        let expected = generated_per_flow(&oracle_generate(&traffic, &config), flows.len());
+        let report = Simulator::new(&topo, &flows, &routes, traffic, config)
+            .expect("valid sim")
+            .run();
+        let generated: Vec<u64> = report.per_flow.iter().map(|f| f.generated).collect();
+        prop_assert_eq!(generated, expected, "rates {:?}, shape {}", picks, shape);
+    }
 }
