@@ -15,13 +15,12 @@
 //!   `table_bytes` keys, after the same structural check: stripping the
 //!   two new keys from the fresh output reproduces the previous golden
 //!   exactly, so every simulation number is still bit-for-bit.
-//! * `fig_6_7_quick.csv` — `fig_6_7 --quick --csv`, captured from the
-//!   pre-refactor per-binary plumbing.
 //!
-//! The pipeline must reproduce both byte-for-byte at the fixed seeds.
+//! The figure goldens (`fig_6_*_quick.*`) are pinned by
+//! `golden_figures.rs`. The pipeline must reproduce the sweep
+//! byte-for-byte at the fixed seeds.
 
 use bsor_bench::sweep::{run_grid, sweep_json, GridSpec};
-use bsor_bench::{standard_mesh, vc_sweep_report, RunMode};
 
 #[test]
 fn sweep_smoke_json_is_byte_identical_to_pre_refactor() {
@@ -33,15 +32,5 @@ fn sweep_smoke_json_is_byte_identical_to_pre_refactor() {
         doc,
         include_str!("golden/sweep_smoke.json"),
         "registry-driven sweep diverged from the pre-refactor BENCH_sweep.json"
-    );
-}
-
-#[test]
-fn fig_6_7_csv_is_byte_identical_to_pre_refactor() {
-    let report = vc_sweep_report(&standard_mesh(), RunMode::Quick, true);
-    assert_eq!(
-        report,
-        include_str!("golden/fig_6_7_quick.csv"),
-        "scenario-pipeline figure diverged from the pre-refactor fig_6_7 output"
     );
 }
