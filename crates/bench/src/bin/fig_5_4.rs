@@ -4,17 +4,18 @@
 //! run, rendered as an ASCII strip chart (or CSV).
 //!
 //! ```text
-//! cargo run -p bsor-bench --release --bin fig_5_4 [--csv]
+//! cargo run -p bsor_bench --release --bin fig_5_4 [--csv]
 //! ```
 
-use bsor_bench::csv_mode;
+use bsor_bench::PaperArgs;
 use bsor_sim::MarkovVariation;
 
 fn main() {
+    let csv = PaperArgs::from_env("fig_5_4", &[]).csv;
     let variation = MarkovVariation::new(0.25, 200.0);
     // Node 52's flow on the 8x8 transpose; the seed picks its process.
     let trace = variation.sample_trace(52, 4_000);
-    if csv_mode() {
+    if csv {
         println!("cycle,multiplier");
         for (c, m) in trace.iter().enumerate() {
             println!("{c},{m:.4}");

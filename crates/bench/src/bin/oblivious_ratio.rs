@@ -25,7 +25,7 @@
 
 use bsor::{AlgorithmRegistry, RegistryConfig};
 use bsor_bench::json::Json;
-use bsor_bench::{fmt_row, run_mode, scenario_for, standard_mesh, RunMode};
+use bsor_bench::{fmt_row, scenario_for, standard_mesh, RunMode};
 use bsor_routing::selectors::AcObliviousSelector;
 use bsor_sim::Planner;
 use bsor_topology::{NodeId, Topology};
@@ -124,8 +124,14 @@ fn max_links_arg() -> Option<usize> {
 }
 
 fn main() {
-    let mode = run_mode();
-    let json_out = std::env::args().any(|a| a == "--json");
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let mode = match (flag("--quick"), flag("--paper")) {
+        (true, _) => RunMode::Quick,
+        (false, true) => RunMode::Paper,
+        (false, false) => RunMode::Default,
+    };
+    let json_out = flag("--json");
     let max_links = max_links_arg();
     let registry = match max_links {
         Some(n) => AlgorithmRegistry::standard_with(RegistryConfig::new().with_max_links(n)),

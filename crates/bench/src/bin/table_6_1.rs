@@ -5,19 +5,18 @@
 //! (paper-oriented turn models plus two ad-hoc derivations).
 //!
 //! ```text
-//! cargo run -p bsor-bench --release --bin table_6_1 [--quick] [--csv]
+//! cargo run -p bsor_bench --release --bin table_6_1 [--quick] [--csv]
 //! ```
 
 use bsor::SelectorKind;
-use bsor_bench::{csv_mode, fmt_row, mcl_for, run_mode, standard_mesh, table_cdgs, table_milp};
+use bsor_bench::{fmt_row, mcl_for, standard_mesh, table_cdgs, table_milp, PaperArgs};
 use bsor_workloads::all_six;
 
 fn main() {
     let topo = standard_mesh();
     let workloads = all_six(&topo).expect("8x8 supports all workloads");
     let cdgs = table_cdgs();
-    let csv = csv_mode();
-    let mode = run_mode();
+    let PaperArgs { mode, csv, .. } = PaperArgs::from_env("table_6_1", &[]);
 
     println!("Table 6.1: minimum MCL (MB/s) per acyclic CDG, BSOR_MILP selector");
     let mut header: Vec<String> = vec!["Example".into()];

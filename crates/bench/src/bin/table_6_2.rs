@@ -3,19 +3,18 @@
 //! BSOR_Dijkstra."
 //!
 //! ```text
-//! cargo run -p bsor-bench --release --bin table_6_2 [--quick] [--csv]
+//! cargo run -p bsor_bench --release --bin table_6_2 [--quick] [--csv]
 //! ```
 
 use bsor::SelectorKind;
-use bsor_bench::{csv_mode, fmt_row, mcl_for, run_mode, standard_mesh, table_cdgs, table_dijkstra};
+use bsor_bench::{fmt_row, mcl_for, standard_mesh, table_cdgs, table_dijkstra, PaperArgs};
 use bsor_workloads::all_six;
 
 fn main() {
     let topo = standard_mesh();
     let workloads = all_six(&topo).expect("8x8 supports all workloads");
     let cdgs = table_cdgs();
-    let csv = csv_mode();
-    let mode = run_mode();
+    let PaperArgs { mode, csv, .. } = PaperArgs::from_env("table_6_2", &[]);
 
     println!("Table 6.2: minimum MCL (MB/s) per acyclic CDG, BSOR_Dijkstra selector");
     let mut header: Vec<String> = vec!["Example".into()];

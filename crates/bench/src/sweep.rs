@@ -35,8 +35,8 @@
 use crate::json::Json;
 use bsor::AlgorithmRegistry;
 use bsor_sim::{
-    BurstyOnOff, EvalPoint, Evaluator, PlanCache, PlanStats, Planner, RouteAlgorithm, Scenario,
-    SimConfig, SimEvaluator,
+    BurstyOnOff, EvalPoint, Evaluator, MarkovVariation, PlanCache, PlanStats, Planner,
+    RouteAlgorithm, Scenario, SimConfig, SimEvaluator,
 };
 use bsor_topology::TopologyRegistry;
 use bsor_workloads::WorkloadRegistry;
@@ -220,6 +220,10 @@ pub struct GridSpec {
     pub fast_forward: bool,
     /// Optional on/off bursty injection applied to every run.
     pub burst: Option<BurstyOnOff>,
+    /// Optional run-time bandwidth variation (paper §5.3) applied to
+    /// every run, as in Figs. 6-8 to 6-10. The JSON echoes it only when
+    /// set, so documents of grids without it keep their bytes.
+    pub variation: Option<MarkovVariation>,
     /// Optional saturation-point search appended to every case.
     pub saturation: Option<SaturationSpec>,
     /// Compile each case's router tables into the interval-compressed
@@ -268,6 +272,7 @@ impl GridSpec {
             record_timings: true,
             fast_forward: true,
             burst: None,
+            variation: None,
             saturation: None,
             compact_tables: false,
         }
@@ -289,6 +294,7 @@ impl GridSpec {
             record_timings: true,
             fast_forward: true,
             burst: None,
+            variation: None,
             saturation: None,
             compact_tables: false,
         }
@@ -536,6 +542,9 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
         let mut point = EvalPoint::new(rate, sim_config(case.vcs));
         if let Some(burst) = spec.burst {
             point = point.with_burst(burst);
+        }
+        if let Some(variation) = spec.variation {
+            point = point.with_variation(variation);
         }
         point
     };
@@ -833,7 +842,9 @@ pub fn run_grid_stats(
 /// carries the measured `table_bytes` of its compiled routing tables
 /// and the grid echoes the `compact_tables` knob — the only two keys
 /// that differ between a compact and a dense sweep of the same grid,
-/// since compression never changes routing behavior.
+/// since compression never changes routing behavior. A grid with
+/// [`GridSpec::variation`] set ends with a `variation` object
+/// (`fraction`, `mean_dwell`); grids without it omit the key.
 ///
 /// The `meshes`/`mesh` keys predate the topology axis and are kept for
 /// schema stability; non-mesh entries carry `name:WxH` labels in the
@@ -845,7 +856,7 @@ pub fn sweep_json(
     total_wall_ms: f64,
 ) -> Json {
     let threads = if spec.record_timings { threads } else { 0 };
-    let grid = Json::object(vec![
+    let mut grid = vec![
         (
             "meshes",
             Json::Array(
@@ -908,7 +919,16 @@ pub fn sweep_json(
             },
         ),
         ("compact_tables", Json::from(spec.compact_tables)),
-    ]);
+    ];
+    if let Some(v) = spec.variation {
+        grid.push((
+            "variation",
+            Json::object(vec![
+                ("fraction", Json::from(v.fraction)),
+                ("mean_dwell", Json::from(v.mean_dwell)),
+            ]),
+        ));
+    }
     let cases = results
         .iter()
         .map(|r| {
@@ -965,7 +985,7 @@ pub fn sweep_json(
         .collect();
     Json::object(vec![
         ("schema", Json::from("bsor-sweep/v2")),
-        ("grid", grid),
+        ("grid", Json::object(grid)),
         ("cases", Json::Array(cases)),
         (
             "timing",
@@ -995,6 +1015,7 @@ mod tests {
             record_timings: false,
             fast_forward: true,
             burst: None,
+            variation: None,
             saturation: None,
             compact_tables: false,
         }
@@ -1305,6 +1326,19 @@ mod tests {
         let doc = sweep_json(&dense_spec, &compact, 1, 0.0).pretty();
         assert!(doc.contains("\"compact_tables\": true"));
         assert!(doc.contains("\"table_bytes\""));
+    }
+
+    #[test]
+    fn variation_is_echoed_only_when_set() {
+        let mut spec = tiny_spec();
+        spec.algorithms = vec!["xy".into()];
+        let flat = sweep_json(&spec, &run_grid(&spec, 1), 1, 0.0).pretty();
+        assert!(!flat.contains("\"variation\""));
+        spec.variation = Some(MarkovVariation::new(0.25, 200.0));
+        let varied = sweep_json(&spec, &run_grid(&spec, 1), 1, 0.0).pretty();
+        assert!(varied.contains("\"variation\": {"));
+        assert!(varied.contains("\"fraction\": 0.25"));
+        assert!(varied.contains("\"mean_dwell\": 200.0"));
     }
 
     #[test]

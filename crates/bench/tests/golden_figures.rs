@@ -4,82 +4,69 @@
 //! `golden/fig_6_N_quick.csv` and `golden/fig_6_N_quick.txt` are the
 //! `fig_6_N --quick --csv` and `fig_6_N --quick` outputs of the
 //! per-figure binaries, captured before the figures moved onto the sweep
-//! grid. Debug and release builds print the same bytes.
+//! grid. `bsor-paper fig-6-N` must print the same bytes, in debug and
+//! release builds alike.
 
-use bsor_bench::{rates_for, render_figure, standard_mesh, sweep_for, vc_sweep_report, RunMode};
-use bsor_sim::MarkovVariation;
-use bsor_workloads::{
-    bit_complement, h264_decoder, performance_modeling, shuffle, transpose, wifi_transmitter,
-};
+use bsor_bench::figures::{Figure, FIGURE_IDS};
+use bsor_bench::RunMode;
+use std::process::Command;
 
-fn figure(n: u32, csv: bool) -> String {
-    let topo = standard_mesh();
-    let mode = RunMode::Quick;
-    let rates = rates_for(mode);
-    if n == 7 {
-        return vc_sweep_report(&topo, mode, csv);
-    }
-    if n <= 6 {
-        let (label, workload) = match n {
-            1 => ("Transpose", transpose(&topo)),
-            2 => ("Bit-Complement", bit_complement(&topo)),
-            3 => ("Shuffle", shuffle(&topo)),
-            4 => ("H.264 Decoder", h264_decoder(&topo)),
-            5 => ("Performance Modeling", performance_modeling(&topo)),
-            _ => ("802.11a/g Transmitter", wifi_transmitter(&topo)),
-        };
-        let title = format!("Figure 6-{n}: {label} — throughput & latency vs offered rate");
-        let workload = workload.expect("8x8 supports the workload");
-        return render_figure(
-            &title,
-            &topo,
-            &workload,
-            &sweep_for(mode, 2),
-            &rates,
-            mode,
-            csv,
-        );
-    }
-    let percent = match n {
-        8 => 10,
-        9 => 25,
-        _ => 50,
-    };
-    let cfg =
-        sweep_for(mode, 2).with_variation(MarkovVariation::new(f64::from(percent) / 100.0, 200.0));
-    let mut out = String::new();
-    for workload in [transpose(&topo), h264_decoder(&topo)] {
-        let workload = workload.expect("8x8 supports the workload");
-        let title = format!(
-            "Figure 6-{n}: {} with {percent}% bandwidth variation",
-            workload.name
-        );
-        out.push_str(&render_figure(
-            &title, &topo, &workload, &cfg, &rates, mode, csv,
-        ));
-    }
-    out
-}
-
-fn golden(n: u32, csv: bool) -> String {
-    let ext = if csv { "csv" } else { "txt" };
+fn golden(id: &str, ext: &str) -> String {
     let path = format!(
-        "{}/tests/golden/fig_6_{n}_quick.{ext}",
-        env!("CARGO_MANIFEST_DIR")
+        "{}/tests/golden/{}_quick.{ext}",
+        env!("CARGO_MANIFEST_DIR"),
+        id.replace('-', "_")
     );
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 #[test]
 fn quick_figures_are_byte_identical_to_the_per_figure_binaries() {
-    for n in 1..=10 {
-        for csv in [true, false] {
-            assert_eq!(
-                figure(n, csv),
-                golden(n, csv),
-                "fig_6_{n} --quick{} diverged",
-                if csv { " --csv" } else { "" }
-            );
+    // One BSOR-MILP exploration dominates each of Figs. 6-1 to 6-3 (49 s
+    // for bit-complement in a debug build), so the figures run side by
+    // side rather than each on a pool of its own.
+    std::thread::scope(|scope| {
+        for id in FIGURE_IDS {
+            scope.spawn(move || {
+                let figure = Figure::new(id, RunMode::Quick).expect("listed id");
+                let results = figure.run(1);
+                assert_eq!(
+                    figure.render(&results, true),
+                    golden(id, "csv"),
+                    "{id} --quick --csv diverged"
+                );
+                assert_eq!(
+                    figure.render(&results, false),
+                    golden(id, "txt"),
+                    "{id} --quick diverged"
+                );
+            });
         }
-    }
+    });
+}
+
+#[test]
+fn bad_flags_and_ids_exit_1_naming_them() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_bsor-paper"))
+            .args(args)
+            .output()
+            .expect("bsor-paper starts");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = run(&["fig-6-1", "--quik"]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("unknown flag '--quik'"), "{stderr}");
+    let (code, stderr) = run(&["fig-6-11", "--quick"]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("unknown figure id 'fig-6-11'"), "{stderr}");
+    assert!(
+        stderr.contains("fig-6-1, fig-6-2"),
+        "lists the valid ids: {stderr}"
+    );
+    let (code, _) = run(&["--quick"]);
+    assert_eq!(code, Some(1), "no figure named");
 }

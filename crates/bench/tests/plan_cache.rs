@@ -26,6 +26,7 @@ fn sat_spec() -> GridSpec {
         record_timings: false,
         fast_forward: true,
         burst: None,
+        variation: None,
         saturation: Some(SaturationSpec {
             lo: 0.05,
             hi: 4.0,

@@ -5,7 +5,6 @@ use crate::turn::{self, TurnModel};
 use bsor_netgraph::{algo, DiGraph, NodeId as GraphNode};
 use bsor_topology::{NodeId, Topology};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Recipe for breaking cycles in one virtual-channel layer of a
@@ -16,11 +15,6 @@ pub enum LayerRecipe {
     TurnModel(TurnModel),
     /// Randomized iterative cycle breaking with the given seed.
     AdHoc {
-        /// RNG seed, so constructions are reproducible.
-        seed: u64,
-    },
-    /// Random-priority-order breaking with the given seed.
-    RandomOrder {
         /// RNG seed, so constructions are reproducible.
         seed: u64,
     },
@@ -186,27 +180,6 @@ impl AcyclicCdg {
         AcyclicCdg::try_new(cdg, format!("ad-hoc-routable-{seed}"), removed)
     }
 
-    /// Derives an acyclic CDG by drawing a random priority order over the
-    /// vertices and keeping only priority-increasing edges. Removes more
-    /// edges than [`AcyclicCdg::ad_hoc`] but is O(V + E).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vcs == 0`.
-    pub fn random_order(topo: &Topology, vcs: u8, seed: u64) -> Self {
-        let mut cdg = Cdg::build(topo, vcs);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = cdg.graph().node_count();
-        let mut priority: Vec<u32> = (0..n as u32).collect();
-        priority.shuffle(&mut rng);
-        let before = cdg.graph().edge_count();
-        cdg.graph_mut()
-            .retain_edges(|_, s, d, _| priority[s.index()] < priority[d.index()]);
-        let removed = before - cdg.graph().edge_count();
-        AcyclicCdg::try_new(cdg, format!("random-order-{seed}"), removed)
-            .expect("priority-increasing edges cannot form a cycle")
-    }
-
     /// Derives an acyclic CDG from an up*/down* spanning-tree order — the
     /// VC-free escape ordering for arbitrary graphs (no grid directions
     /// required).
@@ -334,7 +307,6 @@ impl AcyclicCdg {
             let layer = match recipe {
                 LayerRecipe::TurnModel(model) => AcyclicCdg::turn_model(topo, 1, model)?,
                 LayerRecipe::AdHoc { seed } => AcyclicCdg::ad_hoc(topo, 1, *seed),
-                LayerRecipe::RandomOrder { seed } => AcyclicCdg::random_order(topo, 1, *seed),
             };
             layers.push(layer);
         }
@@ -604,15 +576,6 @@ mod tests {
             AcyclicCdg::up_down(&t, 0).unwrap_err(),
             CdgError::NoVirtualChannels
         );
-    }
-
-    #[test]
-    fn random_order_always_acyclic() {
-        let t = Topology::mesh2d(4, 4);
-        for seed in 0..5 {
-            let a = AcyclicCdg::random_order(&t, 1, seed);
-            assert!(algo::is_acyclic(a.graph()));
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   negative-first, and the full set of 12 deadlock-free combinations on
 //!   a 2-D mesh),
 //! * ad-hoc randomized cycle breaking ([`AcyclicCdg::ad_hoc`]),
-//! * random-priority-order breaking ([`AcyclicCdg::random_order`]),
 //! * virtual-channel expansions: per-layer virtual networks
 //!   ([`AcyclicCdg::virtual_networks`]) and the "any turn if the packet
 //!   climbs to a higher VC" expansion ([`AcyclicCdg::escalating_vc`]).

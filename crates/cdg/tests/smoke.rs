@@ -23,7 +23,6 @@ fn every_strategy_breaks_all_cycles_on_4x4() {
         AcyclicCdg::turn_model(&mesh, 2, &TurnModel::negative_first()).expect("negative-first"),
         AcyclicCdg::ad_hoc(&mesh, 2, 11),
         AcyclicCdg::ad_hoc_routable(&mesh, 2, 11).expect("grid"),
-        AcyclicCdg::random_order(&mesh, 2, 11),
         AcyclicCdg::escalating_vc(&mesh, 2, &TurnModel::west_first()).expect("escalating"),
     ];
     for model in TurnModel::valid_models(&mesh).expect("grid enumerates models") {

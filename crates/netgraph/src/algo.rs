@@ -1,6 +1,5 @@
 //! Graph algorithms: topological sort, cycle detection and breaking,
-//! strongly connected components, shortest paths, BFS hop counts, and
-//! bounded simple-path enumeration.
+//! shortest paths, BFS hop counts, and bounded simple-path enumeration.
 //!
 //! Two pairs of functions here compute the same thing at different
 //! cost, and the cheaper one is pinned to the simpler one by
@@ -229,81 +228,6 @@ pub fn break_cycles<N, E>(
         }
     }
     removed
-}
-
-/// Tarjan's strongly connected components. Components are returned in
-/// reverse topological order of the condensation.
-pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
-    struct State {
-        index: Vec<Option<u32>>,
-        lowlink: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<NodeId>,
-        next_index: u32,
-        components: Vec<Vec<NodeId>>,
-    }
-    let n = g.node_count();
-    let mut st = State {
-        index: vec![None; n],
-        lowlink: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next_index: 0,
-        components: Vec::new(),
-    };
-    // Iterative Tarjan: frames of (v, next successor index).
-    for root in g.node_ids() {
-        if st.index[root.index()].is_some() {
-            continue;
-        }
-        let mut frames: Vec<(NodeId, usize)> = vec![(root, 0)];
-        st.index[root.index()] = Some(st.next_index);
-        st.lowlink[root.index()] = st.next_index;
-        st.next_index += 1;
-        st.stack.push(root);
-        st.on_stack[root.index()] = true;
-        while let Some(&mut (v, ref mut i)) = frames.last_mut() {
-            let out = g.out_edges(v);
-            if *i < out.len() {
-                let e = out[*i];
-                *i += 1;
-                let (_, w) = g.endpoints(e).expect("live edge");
-                if st.index[w.index()].is_none() {
-                    st.index[w.index()] = Some(st.next_index);
-                    st.lowlink[w.index()] = st.next_index;
-                    st.next_index += 1;
-                    st.stack.push(w);
-                    st.on_stack[w.index()] = true;
-                    frames.push((w, 0));
-                } else if st.on_stack[w.index()] {
-                    let wi = st.index[w.index()].expect("visited");
-                    if wi < st.lowlink[v.index()] {
-                        st.lowlink[v.index()] = wi;
-                    }
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    if st.lowlink[v.index()] < st.lowlink[parent.index()] {
-                        st.lowlink[parent.index()] = st.lowlink[v.index()];
-                    }
-                }
-                if st.lowlink[v.index()] == st.index[v.index()].expect("visited") {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = st.stack.pop().expect("stack nonempty");
-                        st.on_stack[w.index()] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    st.components.push(comp);
-                }
-            }
-        }
-    }
-    st.components
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -708,19 +632,6 @@ mod tests {
         g.add_edge(b, c, ());
         assert!(find_cycle(&g).is_none());
         assert!(is_acyclic(&g));
-    }
-
-    #[test]
-    fn scc_groups_cycle_nodes() {
-        let mut g = cyclic_triangle();
-        let d = g.add_node(());
-        g.add_edge(NodeId(0), d, ());
-        let comps = tarjan_scc(&g);
-        assert_eq!(comps.len(), 2);
-        let big = comps.iter().find(|c| c.len() == 3).expect("triangle scc");
-        let mut big = big.clone();
-        big.sort();
-        assert_eq!(big, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -76,19 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn scc_partition_covers_all_nodes(g in arbitrary_digraph(10)) {
-        let comps = algo::tarjan_scc(&g);
-        let mut seen = vec![false; g.node_count()];
-        for comp in &comps {
-            for v in comp {
-                prop_assert!(!seen[v.index()], "node in two components");
-                seen[v.index()] = true;
-            }
-        }
-        prop_assert!(seen.into_iter().all(|b| b), "every node in a component");
-    }
-
-    #[test]
     fn dijkstra_distances_satisfy_triangle_inequality(
         g in arbitrary_digraph(10),
         weights in prop::collection::vec(0.0..10.0f64, 0..300),
