@@ -8,8 +8,10 @@
 //! `bsor-sweep` and `bsor-serve` run.
 //!
 //! ```text
-//! cargo run -p bsor_bench --release --bin oblivious_ratio [--quick] [--json] [--max-links N]
+//! cargo run -p bsor_bench --release --bin oblivious_ratio [--quick|--paper] [--json] [--max-links N]
 //! ```
+//!
+//! Any other argument exits 1 naming it.
 //!
 //! `--max-links N` raises (or lowers) the `ac-oblivious` LP's
 //! directed-link budget from its 16-link default, for both the ratio
@@ -105,34 +107,36 @@ impl Cell {
     }
 }
 
-/// Parses `--max-links N`, exiting 1 with a message on a malformed or
-/// zero value.
-fn max_links_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--max-links")?;
-    let parsed = args
-        .get(i + 1)
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    match parsed {
-        Some(n) => Some(n),
-        None => {
-            eprintln!("oblivious_ratio: --max-links needs a positive integer");
-            std::process::exit(1);
-        }
-    }
+/// Prints `message` and exits 1, as the other paper binaries do on a
+/// bad argument.
+fn exit_usage(message: &str) -> ! {
+    eprintln!("oblivious_ratio: {message}");
+    std::process::exit(1);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let mode = match (flag("--quick"), flag("--paper")) {
+    // Exactly --quick, --paper, --json and --max-links N; --quick wins
+    // over --paper.
+    let (mut quick, mut paper, mut json_out, mut max_links) = (false, false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--paper" => paper = true,
+            "--json" => json_out = true,
+            "--max-links" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => max_links = Some(n),
+                _ => exit_usage("--max-links needs a positive integer"),
+            },
+            flag if flag.starts_with('-') => exit_usage(&format!("unknown flag '{flag}'")),
+            other => exit_usage(&format!("unexpected argument '{other}'")),
+        }
+    }
+    let mode = match (quick, paper) {
         (true, _) => RunMode::Quick,
         (false, true) => RunMode::Paper,
         (false, false) => RunMode::Default,
     };
-    let json_out = flag("--json");
-    let max_links = max_links_arg();
     let registry = match max_links {
         Some(n) => AlgorithmRegistry::standard_with(RegistryConfig::new().with_max_links(n)),
         None => AlgorithmRegistry::standard(),

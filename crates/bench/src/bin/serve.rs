@@ -20,7 +20,6 @@
 //!   --listen ADDR       serve TCP on ADDR (e.g. 127.0.0.1:4800) instead of stdin
 //!   --capacity N        LRU capacity in plans (default 256; 0 = unbounded)
 //!   --capacity-bytes N  approximate LRU byte budget (default unbounded)
-//!   --shards N          cache shard count (default 8)
 //!   --stats-every N     log a cache-stats line to stderr every N requests
 //!   --no-timings        zero wall-clock response fields (byte-identical replays)
 //!   --compact-tables    serve interval-compressed router tables (behaviorally
@@ -43,8 +42,8 @@ struct Options {
 fn usage() {
     println!("bsor-serve: line-delimited JSON routing-plan service");
     println!();
-    println!("options: --listen ADDR --capacity N --capacity-bytes N --shards N");
-    println!("         --stats-every N --no-timings --compact-tables --help");
+    println!("options: --listen ADDR --capacity N --capacity-bytes N --stats-every N");
+    println!("         --no-timings --compact-tables --help");
     println!("ops: plan, evaluate, invalidate, stats (one JSON object per line)");
 }
 
@@ -52,7 +51,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut listen = None;
     let mut capacity: usize = 256;
     let mut capacity_bytes: usize = 0;
-    let mut shards: usize = 8;
     let mut stats_every: u64 = 0;
     let mut timings = true;
     let mut compact_tables = false;
@@ -75,14 +73,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "bad --capacity-bytes".to_string())?;
             }
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?;
-                if shards == 0 {
-                    return Err("--shards needs at least one shard".to_string());
-                }
-            }
             "--stats-every" => {
                 stats_every = value("--stats-every")?
                     .parse()
@@ -102,8 +92,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         config: ServeConfig {
             cache: PlanCacheConfig::new()
                 .max_plans(capacity)
-                .max_bytes(capacity_bytes)
-                .shards(shards),
+                .max_bytes(capacity_bytes),
             timings,
             stats_every,
             compact_tables,

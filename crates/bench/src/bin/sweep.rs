@@ -48,8 +48,6 @@
 //!                           random-walk; over-budget routes become typed
 //!                           per-case errors
 //!   --threads N             sweep worker threads           (default: available cores)
-//!   --no-fast-forward       disable idle-cycle fast-forward (byte-identical
-//!                           output; exists so CI can smoke both paths)
 //!   --out PATH              output path                    (default BENCH_sweep.json)
 //!   --no-timings            zero wall-clock fields (byte-identical reruns)
 //!   --list                  print the expanded grid and exit
@@ -58,13 +56,9 @@
 //!   --list-algorithms       print registered algorithm names and exit
 //! ```
 //!
-//! Every case is planned once through the shared `Planner`/`PlanCache`
-//! (route selection, Lemma-1 certificate, compiled node tables) and
-//! every rate point and saturation probe evaluates that plan with the
-//! `SimEvaluator`. Set `BSOR_PLAN_CACHE=off` to disable the cache and
-//! re-solve per point — the cost of running the full pipeline once per
-//! grid point; output is byte-identical either way. The
-//! `route solves:` stderr line reports the solve / cache-hit counters.
+//! Every case is planned once (route selection, Lemma-1 certificate,
+//! compiled node tables) and every rate point and saturation probe
+//! evaluates that plan with the `SimEvaluator`.
 //!
 //! Exit codes: 0 on success, 1 on bad arguments or write failure, 2
 //! when the sweep completed but one or more cases failed (the failures
@@ -72,8 +66,7 @@
 
 use bsor::{AlgorithmRegistry, RegistryConfig};
 use bsor_bench::sweep::{
-    expand, plan_cache_enabled_from_env, run_grid_stats, sweep_json, GridSpec, SaturationSpec,
-    SweepRegistries, TopoSpec,
+    expand, run_grid_with, sweep_json, GridSpec, SaturationSpec, SweepRegistries, TopoSpec,
 };
 use bsor_sim::BurstyOnOff;
 use std::process::ExitCode;
@@ -167,7 +160,7 @@ fn usage(regs: &SweepRegistries) {
     println!("         --algos a,b|all --vcs n,.. --rates r,.. --warmup N");
     println!("         --measurement N --packet-len N --seed N --burst ON,OFF");
     println!("         --saturation --sat-range LO,HI --sat-iters N --threads N");
-    println!("         --no-fast-forward --compact-tables --max-links N --max-hops N");
+    println!("         --compact-tables --max-links N --max-hops N");
     println!("         --out PATH --no-timings --list --list-topologies");
     println!("         --list-workloads --list-algorithms --help");
     println!(
@@ -350,7 +343,6 @@ fn parse_args(
                         .map_err(|_| "bad --threads".to_string())?,
                 );
             }
-            "--no-fast-forward" => spec.fast_forward = false,
             "--compact-tables" => spec.compact_tables = true,
             "--max-links" => {
                 let n: usize = value("--max-links")?
@@ -447,18 +439,15 @@ fn main() -> ExitCode {
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    let cache = plan_cache_enabled_from_env();
     eprintln!(
-        "bsor-sweep: {} cases x {} rates = {} runs on {} threads (plan cache {})",
+        "bsor-sweep: {} cases x {} rates = {} runs on {} threads",
         spec.num_cases(),
         spec.rates.len(),
         spec.num_runs(),
-        threads,
-        if cache { "on" } else { "off" }
+        threads
     );
     let started = Instant::now();
-    let outcome = run_grid_stats(&spec, threads, &regs, cache);
-    let results = outcome.results;
+    let results = run_grid_with(&spec, threads, &regs);
     let total_wall_ms = if spec.record_timings {
         started.elapsed().as_secs_f64() * 1e3
     } else {
@@ -470,15 +459,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let failed = results.iter().filter(|r| r.error.is_some()).count();
-    // The solve counter is the cache's audit trail: with the cache on a
-    // sweep performs exactly one route solve (MILP or heuristic) per
-    // case; with BSOR_PLAN_CACHE=off every rate point and saturation
-    // probe re-solves (the naive per-point pipeline), with
-    // byte-identical JSON.
-    eprintln!(
-        "bsor-sweep: route solves: {} (cache hits: {})",
-        outcome.plans.solves, outcome.plans.cache_hits
-    );
     eprintln!(
         "bsor-sweep: wrote {out} ({} cases, {failed} failed) in {:.1}s",
         results.len(),

@@ -17,9 +17,9 @@
 //! [`standard_rates`]; and the simulator's default seed and packet
 //! length.
 
-use crate::sweep::{run_grid_with, CaseResult, GridSpec, PointResult, SweepRegistries, TopoSpec};
+use crate::sweep::{run_grid_with, CaseResult, GridSpec, SweepRegistries, TopoSpec};
 use crate::{fmt_row, standard_algorithms, standard_rates, RunMode};
-use bsor_sim::{MarkovVariation, SimConfig};
+use bsor_sim::{Evaluation, MarkovVariation, SimConfig};
 use std::fmt::Write;
 
 /// The `bsor-paper` ids, one per figure, in figure order.
@@ -100,7 +100,6 @@ impl Figure {
             packet_len: defaults.packet_len,
             seed: defaults.seed,
             record_timings: false,
-            fast_forward: true,
             burst: None,
             variation: None,
             saturation: None,
@@ -234,7 +233,7 @@ impl Figure {
 fn write_case(
     out: &mut String,
     case: &CaseResult,
-    row: impl Fn(&str, &PointResult, &str) -> String,
+    row: impl Fn(&str, &Evaluation, &str) -> String,
 ) {
     let name = &case.case.algorithm;
     if let Some(e) = &case.error {

@@ -71,7 +71,7 @@ use std::time::Instant;
 /// How a [`PlanService`] is sized and reported.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Plan-cache sizing (shards, LRU plan/byte budgets).
+    /// Plan-cache LRU budgets (plan count and approximate bytes).
     pub cache: PlanCacheConfig,
     /// Report wall-clock fields. Off, every timing field is `0.0` and
     /// the response stream is byte-deterministic for a fixed request

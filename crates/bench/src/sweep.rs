@@ -6,17 +6,11 @@
 //! once per case while evaluation amortizes it over many load points.
 //! This module mirrors that structure with the plan/evaluate split: a
 //! [`GridSpec`] expands into *cases* (everything but the rate), cases
-//! fan out across `std::thread::scope` workers, and every load point —
-//! the rate axis and each saturation-bisection probe alike — requests
-//! its case's [`bsor_sim::RoutePlan`] through one shared
-//! [`Planner`] and evaluates it with [`SimEvaluator`]. A
-//! [`bsor_sim::PlanCache`] (on by default; see
-//! [`plan_cache_enabled_from_env`]) collapses those requests to exactly
-//! one route solve per case; disabling it re-solves per request — the
-//! cost profile of planning once per grid point — with byte-identical
-//! output, which is how CI proves the cache changes cost and nothing
-//! else. [`PlanStats`]
-//! reports the solve/cache-hit counters.
+//! fan out across `std::thread::scope` workers, and each case is
+//! planned once by one shared [`Planner`]. Every load point of the case
+//! — the rate axis and each saturation-bisection probe alike — then
+//! evaluates that one [`RoutePlan`] with [`SimEvaluator`], so a case
+//! costs exactly one route selection however many points it runs.
 //!
 //! Every axis is registry-driven ([`SweepRegistries`]): topologies come
 //! from [`TopologyRegistry`], workloads from [`WorkloadRegistry`] and
@@ -35,8 +29,8 @@
 use crate::json::Json;
 use bsor::AlgorithmRegistry;
 use bsor_sim::{
-    BurstyOnOff, EvalPoint, Evaluator, MarkovVariation, PlanCache, PlanStats, Planner,
-    RouteAlgorithm, Scenario, SimConfig, SimEvaluator,
+    BurstyOnOff, EvalPoint, Evaluation, Evaluator, MarkovVariation, Planner, RoutePlan, Scenario,
+    SimConfig, SimEvaluator,
 };
 use bsor_topology::TopologyRegistry;
 use bsor_workloads::WorkloadRegistry;
@@ -212,12 +206,6 @@ pub struct GridSpec {
     /// When false, every wall-clock field in the JSON is zeroed so two
     /// runs of the same grid diff byte-identically.
     pub record_timings: bool,
-    /// Idle-cycle fast-forward (see
-    /// [`bsor_sim::SimConfig::fast_forward`]). Purely a wall-clock
-    /// knob: reports are byte-identical either way, and the knob is
-    /// deliberately *not* echoed in the JSON so sweeps with it on and
-    /// off diff byte-identically.
-    pub fast_forward: bool,
     /// Optional on/off bursty injection applied to every run.
     pub burst: Option<BurstyOnOff>,
     /// Optional run-time bandwidth variation (paper §5.3) applied to
@@ -270,7 +258,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            fast_forward: true,
             burst: None,
             variation: None,
             saturation: None,
@@ -292,7 +279,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            fast_forward: true,
             burst: None,
             variation: None,
             saturation: None,
@@ -343,41 +329,6 @@ pub fn expand(spec: &GridSpec) -> Vec<Case> {
         }
     }
     cases
-}
-
-/// One load point's measurements.
-#[derive(Clone, Debug)]
-pub struct PointResult {
-    /// Requested aggregate rate, packets/cycle.
-    pub rate: f64,
-    /// Load actually generated, packets/cycle.
-    pub offered: f64,
-    /// Delivered throughput, packets/cycle.
-    pub throughput: f64,
-    /// Mean packet latency, cycles.
-    pub mean_latency: Option<f64>,
-    /// Median packet latency, cycles (histogram bucket lower bound).
-    pub p50_latency: Option<u64>,
-    /// 95th-percentile packet latency, cycles.
-    pub p95_latency: Option<u64>,
-    /// 99th-percentile packet latency, cycles.
-    pub p99_latency: Option<u64>,
-    /// Worst packet latency, cycles.
-    pub max_latency: u64,
-    /// Busiest channel's observed load, accepted flits/cycle.
-    pub max_channel_load: f64,
-    /// Packets generated in the measurement window.
-    pub generated: u64,
-    /// Packets delivered in the measurement window.
-    pub delivered: u64,
-    /// Whether the watchdog flagged a deadlock.
-    pub deadlocked: bool,
-    /// Cycles actually simulated.
-    pub cycles: u64,
-    /// Wall-clock milliseconds for the run (0 when timings are off).
-    pub wall_ms: f64,
-    /// Simulation speed (0 when timings are off).
-    pub cycles_per_sec: f64,
 }
 
 /// How a saturation-point search concluded.
@@ -467,8 +418,9 @@ pub struct CaseResult {
     /// failed. Deadlock-capable route sets rejected by the planner
     /// (`PlanError::Deadlock`) land here too.
     pub error: Option<String>,
-    /// Per-rate measurements (empty when `error` is set).
-    pub points: Vec<PointResult>,
+    /// The simulator's evaluation at each rate, in grid order (empty
+    /// when `error` is set).
+    pub points: Vec<Evaluation>,
     /// Saturation-point search outcome, when the grid requested one.
     /// Degenerate searches (baseline already saturated, upper probe
     /// never saturated) are classified via
@@ -522,7 +474,7 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
         Ok(s) => s,
         Err(e) => return failed_case(case, e.to_string()),
     };
-    // Plan up front: route selection, Lemma-1 certification and table
+    // Plan once: route selection, Lemma-1 certification and table
     // compilation happen here; a failure becomes the case error.
     let plan = match planner.plan(&scenario, algorithm) {
         Ok(p) => p,
@@ -530,16 +482,13 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
     };
     let mcl = plan.predicted_mcl();
     let table_bytes = plan.table_bytes() as u64;
-    let sim_config = |vcs: u8| {
-        SimConfig::new(vcs)
+    let point_for = |rate: f64| {
+        let config = SimConfig::new(case.vcs)
             .with_warmup(spec.warmup)
             .with_measurement(spec.measurement)
             .with_packet_len(spec.packet_len)
-            .with_seed(spec.seed)
-            .with_fast_forward(spec.fast_forward)
-    };
-    let point_for = |rate: f64| {
-        let mut point = EvalPoint::new(rate, sim_config(case.vcs));
+            .with_seed(spec.seed);
+        let mut point = EvalPoint::new(rate, config);
         if let Some(burst) = spec.burst {
             point = point.with_burst(burst);
         }
@@ -548,49 +497,26 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
         }
         point
     };
+    // Every rate evaluates the one plan on its precompiled tables. A
+    // rate the simulator rejects is a recorded case error, never a
+    // panic.
     let evaluator = SimEvaluator::new();
-    let mut points = Vec::with_capacity(spec.rates.len());
-    for &rate in &spec.rates {
-        // Every point re-requests the plan — with the cache on that is
-        // one lookup, with it off a full re-solve — and evaluates on the
-        // plan's precompiled tables. Either step failing (e.g. a CLI rate
-        // the simulator rejects) is a recorded case error, never a panic.
-        let plan = match planner.plan(&scenario, algorithm) {
-            Ok(p) => p,
-            Err(e) => return failed_case(case, e.to_string()),
-        };
-        let ev = match evaluator.evaluate(&plan, &point_for(rate)) {
-            Ok(ev) => ev,
-            Err(e) => return failed_case(case, format!("rate {rate}: {e}")),
-        };
-        let timing = ev.timing;
-        points.push(PointResult {
-            rate,
-            offered: ev.offered,
-            throughput: ev.throughput,
-            mean_latency: ev.mean_latency,
-            p50_latency: ev.p50_latency,
-            p95_latency: ev.p95_latency,
-            p99_latency: ev.p99_latency,
-            max_latency: ev.max_latency,
-            max_channel_load: ev.max_channel_load,
-            generated: ev.generated,
-            delivered: ev.delivered,
-            deadlocked: ev.deadlocked,
-            cycles: ev.cycles,
-            wall_ms: match &timing {
-                Some(t) if spec.record_timings => t.elapsed.as_secs_f64() * 1e3,
-                _ => 0.0,
-            },
-            cycles_per_sec: match &timing {
-                Some(t) if spec.record_timings => t.cycles_per_sec(),
-                _ => 0.0,
-            },
-        });
-    }
+    let points = spec
+        .rates
+        .iter()
+        .map(|&rate| {
+            evaluator
+                .evaluate(&plan, &point_for(rate))
+                .map_err(|e| format!("rate {rate}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>();
+    let points = match points {
+        Ok(points) => points,
+        Err(e) => return failed_case(case, e),
+    };
     let saturation = match spec.saturation {
         None => None,
-        Some(sat) => match saturation_search(&sat, &scenario, algorithm, planner, &point_for) {
+        Some(sat) => match saturation_search(&sat, &plan, &point_for) {
             Ok(s) => Some(s),
             Err(e) => return failed_case(case, e),
         },
@@ -617,14 +543,10 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
 /// failure (e.g. a rate the simulator rejects) for the caller to record
 /// as the case error.
 ///
-/// The saturation axis requests the case's plan per probe, exactly like
-/// the rate axis — the shared [`PlanCache`] is what makes the whole
-/// case cost a single route solve.
+/// Every probe evaluates the case's one `plan`, like the rate axis.
 fn saturation_search(
     sat: &SaturationSpec,
-    scenario: &Scenario,
-    algorithm: &dyn RouteAlgorithm,
-    planner: &Planner,
+    plan: &RoutePlan,
     point_for: &dyn Fn(f64) -> EvalPoint,
 ) -> Result<SaturationResult, String> {
     let evaluator = SimEvaluator::new();
@@ -633,11 +555,8 @@ fn saturation_search(
     // delivered, or delivery collapse); `Some(l)` defers to the knee.
     let mut mean_latency_at = |rate: f64| -> Result<Option<f64>, String> {
         runs += 1;
-        let plan = planner
-            .plan(scenario, algorithm)
-            .map_err(|e| e.to_string())?;
         let ev = evaluator
-            .evaluate(&plan, &point_for(rate))
+            .evaluate(plan, &point_for(rate))
             .map_err(|e| format!("saturation probe at rate {rate}: {e}"))?;
         let delivery_ok = ev.generated == 0
             || ev.delivered as f64 >= SATURATION_DELIVERY_FLOOR * ev.generated as f64;
@@ -718,35 +637,6 @@ fn saturation_search(
     })
 }
 
-/// Whether the `BSOR_PLAN_CACHE` environment variable enables the
-/// sweep's plan cache: on unless set to `off`, `0`, `false` or `no`
-/// (case-insensitive). Caching only changes how often route selection
-/// runs (off = once per plan request, i.e. per rate point and
-/// saturation probe; on = once per case) — the output JSON is
-/// byte-identical either way.
-pub fn plan_cache_enabled_from_env() -> bool {
-    match std::env::var("BSOR_PLAN_CACHE") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
-}
-
-/// A completed sweep: per-case results in grid order plus the planner's
-/// solve/cache-hit counters.
-#[derive(Clone, Debug)]
-pub struct SweepOutcome {
-    /// One entry per case, in deterministic expansion order.
-    pub results: Vec<CaseResult>,
-    /// Route solves performed and plan-cache hits across the whole
-    /// sweep. With the cache on, `solves` equals the number of cases —
-    /// one MILP / route selection per `(topo, workload, algo, vc)` no
-    /// matter how many rate points and saturation probes ran.
-    pub plans: PlanStats,
-}
-
 /// Runs every case of `spec` across `threads` scoped workers with the
 /// standard registries.
 pub fn run_grid(spec: &GridSpec, threads: usize) -> Vec<CaseResult> {
@@ -755,30 +645,13 @@ pub fn run_grid(spec: &GridSpec, threads: usize) -> Vec<CaseResult> {
 
 /// Runs every case of `spec` across `threads` scoped workers using
 /// `regs` for name resolution, and returns the results in deterministic
-/// grid order (plan cache on).
-pub fn run_grid_with(spec: &GridSpec, threads: usize, regs: &SweepRegistries) -> Vec<CaseResult> {
-    run_grid_stats(spec, threads, regs, true).results
-}
-
-/// Like [`run_grid_with`], additionally choosing whether the shared
-/// [`PlanCache`] is enabled and returning the planner counters.
+/// grid order.
 ///
 /// Workers claim case indices from a shared atomic counter, so thread
 /// count and scheduling affect only wall-clock fields — the simulation
 /// results per case are independent and reassembled in expansion order.
-/// The planner (and its cache) is shared across workers.
-pub fn run_grid_stats(
-    spec: &GridSpec,
-    threads: usize,
-    regs: &SweepRegistries,
-    cache: bool,
-) -> SweepOutcome {
-    let planner = if cache {
-        Planner::new().with_cache(PlanCache::shared())
-    } else {
-        Planner::new()
-    };
-    let planner = planner.with_compact_tables(spec.compact_tables);
+pub fn run_grid_with(spec: &GridSpec, threads: usize, regs: &SweepRegistries) -> Vec<CaseResult> {
+    let planner = Planner::new().with_compact_tables(spec.compact_tables);
     let cases = expand(spec);
     let threads = threads.max(1).min(cases.len().max(1));
     let next = AtomicUsize::new(0);
@@ -808,13 +681,10 @@ pub fn run_grid_stats(
             }
         }
     });
-    SweepOutcome {
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every case index was claimed"))
-            .collect(),
-        plans: planner.stats(),
-    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every case index was claimed"))
+        .collect()
 }
 
 /// Assembles the schema-stable `BENCH_sweep.json` document.
@@ -824,24 +694,23 @@ pub fn run_grid_stats(
 /// holds one entry per case in grid order — each point carrying
 /// `p50/p95/p99` latency percentiles and the busiest observed channel
 /// load, each case a `saturation` search outcome — and `timing` carries
-/// run-wide wall-clock numbers. The entire timing block — thread count
-/// included — is zeroed when timings are off, so two `--no-timings`
-/// sweeps of the same grid are byte-identical even across different
-/// `--threads`. v2 is a strict superset of v1: every v1 key survives
-/// with unchanged semantics. Per-case `saturation` objects additionally
-/// record the final bracket the search actually reached — `lo`/`hi`,
-/// the highest-unsaturated / lowest-saturated probes — and the
-/// bisection `iterations` actually executed (the `grid` block only
-/// echoes the CLI-level request), an additive extension that leaves
-/// every pre-existing key and all cache-off/cache-on runs
+/// run-wide wall-clock numbers. Each point's `wall_ms` and
+/// `cycles_per_sec` come from its evaluation's timing. Every wall-clock
+/// field — the timing block's thread count included — is zeroed when
+/// timings are off, so two `--no-timings` sweeps of the same grid are
+/// byte-identical even across different `--threads`. v2 is a strict
+/// superset of v1: every v1 key survives with unchanged semantics.
+/// Per-case `saturation` objects additionally record the final bracket
+/// the search actually reached — `lo`/`hi`, the highest-unsaturated /
+/// lowest-saturated probes — and the bisection `iterations` actually
+/// executed (the `grid` block only echoes the CLI-level request), an
+/// additive extension that leaves every pre-existing key
 /// byte-identical. Each saturation object also carries an `outcome`
 /// label (`knee` / `censored` / `baseline-saturated`, see
-/// [`SaturationOutcome`]) — additive again, and `fast_forward` is
-/// deliberately absent from the document so runs with it on and off
-/// diff byte-identically. Each case further
-/// carries the measured `table_bytes` of its compiled routing tables
-/// and the grid echoes the `compact_tables` knob — the only two keys
-/// that differ between a compact and a dense sweep of the same grid,
+/// [`SaturationOutcome`]) — additive again. Each case further carries
+/// the measured `table_bytes` of its compiled routing tables and the
+/// grid echoes the `compact_tables` knob — the only two keys that
+/// differ between a compact and a dense sweep of the same grid,
 /// since compression never changes routing behavior. A grid with
 /// [`GridSpec::variation`] set ends with a `variation` object
 /// (`fraction`, `mean_dwell`); grids without it omit the key.
@@ -936,6 +805,7 @@ pub fn sweep_json(
                 .points
                 .iter()
                 .map(|p| {
+                    let timing = p.timing.filter(|_| spec.record_timings);
                     Json::object(vec![
                         ("rate", Json::from(p.rate)),
                         ("offered", Json::from(p.offered)),
@@ -950,8 +820,14 @@ pub fn sweep_json(
                         ("delivered", Json::from(p.delivered)),
                         ("deadlocked", Json::from(p.deadlocked)),
                         ("cycles", Json::from(p.cycles)),
-                        ("wall_ms", Json::from(p.wall_ms)),
-                        ("cycles_per_sec", Json::from(p.cycles_per_sec)),
+                        (
+                            "wall_ms",
+                            Json::from(timing.map_or(0.0, |t| t.elapsed.as_secs_f64() * 1e3)),
+                        ),
+                        (
+                            "cycles_per_sec",
+                            Json::from(timing.map_or(0.0, |t| t.cycles_per_sec())),
+                        ),
                     ])
                 })
                 .collect();
@@ -1013,7 +889,6 @@ mod tests {
             packet_len: 4,
             seed: 7,
             record_timings: false,
-            fast_forward: true,
             burst: None,
             variation: None,
             saturation: None,
@@ -1278,20 +1153,6 @@ mod tests {
         );
         let doc = sweep_json(&spec, &results, 1, 0.0).pretty();
         assert!(doc.contains("\"outcome\": \"censored\""));
-    }
-
-    #[test]
-    fn engine_knobs_do_not_change_sweep_bytes() {
-        let mut spec = tiny_spec();
-        spec.workloads = vec!["transpose".into()];
-        spec.algorithms = vec!["xy".into()];
-        let reference = sweep_json(&spec, &run_grid(&spec, 1), 1, 0.0).pretty();
-        spec.fast_forward = false;
-        let tuned = sweep_json(&spec, &run_grid(&spec, 2), 2, 0.0).pretty();
-        assert_eq!(
-            tuned, reference,
-            "engine knobs must never leak into the document"
-        );
     }
 
     #[test]

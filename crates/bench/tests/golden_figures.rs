@@ -47,26 +47,32 @@ fn quick_figures_are_byte_identical_to_the_per_figure_binaries() {
 
 #[test]
 fn bad_flags_and_ids_exit_1_naming_them() {
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_bsor-paper"))
+    let run = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin)
             .args(args)
             .output()
-            .expect("bsor-paper starts");
+            .expect("binary starts");
         (
             out.status.code(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let (code, stderr) = run(&["fig-6-1", "--quik"]);
+    let paper = env!("CARGO_BIN_EXE_bsor-paper");
+    let (code, stderr) = run(paper, &["fig-6-1", "--quik"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("unknown flag '--quik'"), "{stderr}");
-    let (code, stderr) = run(&["fig-6-11", "--quick"]);
+    let (code, stderr) = run(paper, &["fig-6-11", "--quick"]);
     assert_eq!(code, Some(1));
     assert!(stderr.contains("unknown figure id 'fig-6-11'"), "{stderr}");
     assert!(
         stderr.contains("fig-6-1, fig-6-2"),
         "lists the valid ids: {stderr}"
     );
-    let (code, _) = run(&["--quick"]);
+    let (code, _) = run(paper, &["--quick"]);
     assert_eq!(code, Some(1), "no figure named");
+    // The ratio table reads flags of its own, in the same wording.
+    let ratio = env!("CARGO_BIN_EXE_oblivious_ratio");
+    let (code, stderr) = run(ratio, &["--quik", "--json"]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("unknown flag '--quik'"), "{stderr}");
 }

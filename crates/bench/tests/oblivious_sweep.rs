@@ -1,10 +1,10 @@
-//! The oblivious selectors through the sweep harness: one grid, three
-//! runner configurations — single-threaded cached, multi-threaded
-//! cached, and cache-off — must produce byte-identical `--no-timings`
-//! JSON, and the registry must resolve both selectors by name.
+//! The oblivious selectors through the sweep harness: one grid run on
+//! 1, 2 and 4 worker threads must produce byte-identical
+//! `--no-timings` JSON, and the registry must resolve both selectors by
+//! name.
 
 use bsor_bench::json::Json;
-use bsor_bench::sweep::{run_grid_stats, sweep_json, GridSpec, SweepRegistries, TopoSpec};
+use bsor_bench::sweep::{run_grid_with, sweep_json, GridSpec, SweepRegistries, TopoSpec};
 
 fn oblivious_grid() -> GridSpec {
     let mut spec = GridSpec::smoke();
@@ -20,26 +20,21 @@ fn oblivious_grid() -> GridSpec {
 }
 
 #[test]
-fn oblivious_sweep_is_byte_identical_across_threads_and_cache() {
+fn oblivious_sweep_is_byte_identical_across_threads() {
     let spec = oblivious_grid();
     let regs = SweepRegistries::standard();
-    let single_cached = run_grid_stats(&spec, 1, &regs, true);
-    let multi_cached = run_grid_stats(&spec, 4, &regs, true);
-    let uncached = run_grid_stats(&spec, 2, &regs, false);
-    let render = |outcome: &bsor_bench::sweep::SweepOutcome, threads: usize| {
-        sweep_json(&spec, &outcome.results, threads, 12.5).pretty()
+    let render = |threads: usize| {
+        let results = run_grid_with(&spec, threads, &regs);
+        sweep_json(&spec, &results, threads, 12.5).pretty()
     };
-    let baseline = render(&single_cached, 1);
-    assert_eq!(
-        baseline,
-        render(&multi_cached, 4),
-        "thread count must not leak into the artifact"
-    );
-    assert_eq!(
-        baseline,
-        render(&uncached, 2),
-        "the plan cache must not change any result"
-    );
+    let baseline = render(1);
+    for threads in [2, 4] {
+        assert_eq!(
+            baseline,
+            render(threads),
+            "thread count must not leak into the artifact"
+        );
+    }
     // Sanity: the cases actually ran and carry numeric MCL cells for
     // both selectors (2x2 is inside the LP budget).
     let doc = Json::parse(&baseline).expect("valid JSON");

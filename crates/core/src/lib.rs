@@ -48,8 +48,8 @@ pub mod registry;
 
 pub use bsor_sim::{
     AlgorithmError, EvalPoint, Evaluation, Evaluator, PlanCache, PlanError, PlanId, PlanKey,
-    PlanStats, Planner, RouteAlgorithm, RoutePlan, Scenario, ScenarioBuilder, ScenarioCtx,
-    ScenarioError, SimError, SimEvaluator, StaticMclEvaluator,
+    Planner, RouteAlgorithm, RoutePlan, Scenario, ScenarioBuilder, ScenarioCtx, ScenarioError,
+    SimError, SimEvaluator, StaticMclEvaluator,
 };
 pub use bsor_topology::{TopologyError, TopologyRegistry};
 pub use bsor_workloads::{workload_by_name, WorkloadRegistry};
@@ -278,13 +278,6 @@ impl<'a> BsorBuilder<'a> {
     #[must_use]
     pub fn strategies(mut self, strategies: Vec<CdgStrategy>) -> Self {
         self.strategies = strategies;
-        self
-    }
-
-    /// Appends one strategy.
-    #[must_use]
-    pub fn add_strategy(mut self, strategy: CdgStrategy) -> Self {
-        self.strategies.push(strategy);
         self
     }
 

@@ -173,15 +173,6 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[node.index()]
     }
 
-    /// Returns a mutable reference to the node payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut N {
-        &mut self.nodes[node.index()]
-    }
-
     /// Returns a reference to a live edge's payload.
     pub fn edge_data(&self, edge: EdgeId) -> Option<&E> {
         self.edge(edge).map(|(_, _, d)| d)
@@ -257,18 +248,6 @@ impl<N, E> DiGraph<N, E> {
     pub fn in_degree(&self, node: NodeId) -> usize {
         self.in_adj[node.index()].len()
     }
-
-    /// Removes all edges for which `pred` returns `false`.
-    pub fn retain_edges(&mut self, mut pred: impl FnMut(EdgeId, NodeId, NodeId, &E) -> bool) {
-        let doomed: Vec<EdgeId> = self
-            .edges()
-            .filter(|&(id, s, d, data)| !pred(id, s, d, data))
-            .map(|(id, _, _, _)| id)
-            .collect();
-        for e in doomed {
-            self.remove_edge(e);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -324,14 +303,6 @@ mod tests {
         let mut pred: Vec<_> = g.predecessors(d).collect();
         pred.sort();
         assert_eq!(pred, vec![b, c]);
-    }
-
-    #[test]
-    fn retain_edges_filters() {
-        let (mut g, [a, _b, _c, _d]) = diamond();
-        g.retain_edges(|_, s, _, _| s == a);
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.edges().all(|(_, s, _, _)| s == a));
     }
 
     #[test]

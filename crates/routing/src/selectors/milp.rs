@@ -87,7 +87,7 @@ impl Default for MilpSelector {
 
 /// Candidate routes per flow: an outer entry per flow, holding that
 /// flow's candidate paths, each a sequence of CDG vertices.
-pub type CandidatePaths = Vec<Vec<Vec<GraphNode>>>;
+type CandidatePaths = Vec<Vec<Vec<GraphNode>>>;
 
 /// The per-flow candidate paths assembled for the MILP (first entry of
 /// each flow is its Dijkstra warm-start path).
@@ -156,22 +156,10 @@ impl MilpSelector {
     /// selector's warm-start path, exhaustive bounded DFS enumeration,
     /// and randomized-Dijkstra diversification rounds.
     ///
-    /// Exposed for diagnostics; [`MilpSelector::select`] calls it
-    /// internally.
-    ///
     /// # Errors
     ///
     /// [`SelectError::Unroutable`] if some flow has no conforming path
     /// within the hop bound.
-    pub fn enumerate_candidates(
-        &self,
-        net: &FlowNetwork<'_>,
-        flows: &FlowSet,
-    ) -> Result<(CandidatePaths, Vec<FlowId>), SelectError> {
-        self.build_pool(net, flows)
-            .map(|pool| (pool.per_flow, pool.truncated))
-    }
-
     fn build_pool(
         &self,
         net: &FlowNetwork<'_>,

@@ -32,11 +32,6 @@ pub struct SimConfig {
     /// Chapter 4 (a flit sent at cycle `t` becomes usable downstream at
     /// `t + pipeline_latency`).
     pub pipeline_latency: u8,
-    /// Skip the router phases on cycles where the network is provably
-    /// empty (no flits buffered, queued, or in the hop pipeline). The
-    /// injection-schedule RNG still steps every cycle, so reports are
-    /// byte-identical with the skip on or off. Defaults to on.
-    pub fast_forward: bool,
 }
 
 impl SimConfig {
@@ -58,7 +53,6 @@ impl SimConfig {
             seed: 0xB50B,
             watchdog: 50_000,
             pipeline_latency: 1,
-            fast_forward: true,
         }
     }
 
@@ -129,15 +123,6 @@ impl SimConfig {
     pub fn with_pipeline_latency(mut self, cycles: u8) -> Self {
         assert!(cycles > 0, "pipeline latency must be at least one cycle");
         self.pipeline_latency = cycles;
-        self
-    }
-
-    /// Enables or disables idle-cycle fast-forward (see
-    /// [`SimConfig::fast_forward`]). Reports are byte-identical either
-    /// way; the switch exists so CI can exercise both paths.
-    #[must_use]
-    pub fn with_fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
         self
     }
 
@@ -260,13 +245,6 @@ mod tests {
     #[should_panic(expected = "vcs must be")]
     fn rejects_zero_vcs() {
         SimConfig::new(0);
-    }
-
-    #[test]
-    fn engine_knobs_default_to_serial_with_fast_forward() {
-        let c = SimConfig::new(2);
-        assert!(c.fast_forward);
-        assert!(!c.with_fast_forward(false).fast_forward);
     }
 
     #[test]

@@ -33,22 +33,22 @@
 //!
 //! # Execution
 //!
-//! The engine runs one serial router schedule, two ways, both producing
-//! byte-identical reports for a fixed seed:
+//! The engine runs one serial router schedule: one pass over the nodes
+//! per phase in node-id order, skipping nodes with no occupied input
+//! buffer (an exact optimization — arbiter state only advances when a
+//! candidate exists).
 //!
-//! * **Every cycle** (`fast_forward = false`): one pass over the nodes
-//!   per phase in node-id order, skipping nodes with no occupied input
-//!   buffer (an exact optimization — arbiter state only advances when a
-//!   candidate exists).
-//! * **Fast-forward** (`fast_forward`, default on): cycles where the
-//!   network is provably empty — no flit buffered in any VC, no backlog
-//!   in any source queue, nothing in the hop pipeline — skip the router
-//!   phases entirely. Packet generation still runs every cycle (one
-//!   draw per flow with a fractional rate, plus the on/off and
-//!   variation dwell draws), so the RNG stream is consumed identically
-//!   and delivery timing is provably unchanged: a flit sent on resume
-//!   cycle `t` still lands at the end of `t + pipeline_latency - 1`
-//!   regardless of how many pipeline slots were skipped.
+//! **Fast-forward.** Cycles where the network is provably empty — no
+//! flit buffered in any VC, no backlog in any source queue, nothing in
+//! the hop pipeline — skip the router phases entirely. Packet
+//! generation still runs every cycle (one draw per flow with a
+//! fractional rate, plus the on/off and variation dwell draws), so the
+//! RNG stream is consumed identically and delivery timing is provably
+//! unchanged: a flit sent on resume cycle `t` still lands at the end of
+//! `t + pipeline_latency - 1` regardless of how many pipeline slots
+//! were skipped. The unit tests hold fast-forward to byte-identical
+//! reports against a test-only run that sends every cycle through the
+//! router phases.
 //!
 //! Before the first cycle, [`Simulator::new`] refuses a run the
 //! generator could not finish ([`SimError::RunTooLarge`]): a cycle
@@ -1046,12 +1046,24 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
     /// Like [`Simulator::run`], additionally measuring wall-clock time.
     ///
     /// The report itself stays fully deterministic for a fixed seed —
-    /// independent of `fast_forward` and wall-clock jitter; the timing
-    /// travels separately so callers (the sweep harness, CI) can record
-    /// cycles/sec without perturbing reproducibility checks.
+    /// independent of wall-clock jitter; the timing travels separately
+    /// so callers (the sweep harness, CI) can record cycles/sec without
+    /// perturbing reproducibility checks.
     pub fn run_timed(&mut self) -> (SimReport, RunTiming) {
+        self.run_with(true)
+    }
+
+    /// Like [`Simulator::run`], but with fast-forward off: every cycle
+    /// runs the router phases. The reference the fast-forward tests
+    /// compare against.
+    #[cfg(test)]
+    fn run_every_cycle(&mut self) -> SimReport {
+        self.run_with(false).0
+    }
+
+    fn run_with(&mut self, fast_forward: bool) -> (SimReport, RunTiming) {
         let started = Instant::now();
-        let deadlocked = self.run_cycles();
+        let deadlocked = self.run_cycles(fast_forward);
         let net = &self.net;
         let report = SimReport {
             cycles: net.cycle,
@@ -1067,9 +1079,10 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
         (report, timing)
     }
 
-    /// The cycle loop: one pass per phase in node order. Returns whether
-    /// the watchdog declared a deadlock.
-    fn run_cycles(&mut self) -> bool {
+    /// The cycle loop: one pass per phase in node order, skipping the
+    /// router phases of idle cycles when `fast_forward` is set. Returns
+    /// whether the watchdog declared a deadlock.
+    fn run_cycles(&mut self, fast_forward: bool) -> bool {
         let total = self.config.total_cycles();
         let nn = self.topo.num_nodes();
         let config = &self.config;
@@ -1082,7 +1095,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             };
             self.injector
                 .generate(net, self.flows, &self.traffic, tables, ctx);
-            if config.fast_forward && net.network_empty() {
+            if fast_forward && net.network_empty() {
                 net.cycle += 1;
                 continue;
             }
@@ -1525,6 +1538,16 @@ mod tests {
 
     // --- fast-forward -------------------------------------------------------
 
+    /// Runs `sim` with fast-forward on, or every cycle through the
+    /// router phases.
+    fn run_ff(mut sim: Simulator<'_>, fast_forward: bool) -> SimReport {
+        if fast_forward {
+            sim.run()
+        } else {
+            sim.run_every_cycle()
+        }
+    }
+
     /// Reference report for `mesh_and_flows` under `spec` with
     /// fast-forward on or off.
     fn run_mesh(
@@ -1537,11 +1560,9 @@ mod tests {
         let config = SimConfig::new(2)
             .with_warmup(300)
             .with_measurement(2_000)
-            .with_packet_len(4)
-            .with_fast_forward(fast_forward);
-        Simulator::new(topo, flows, &routes, traffic.clone(), config)
-            .expect("valid")
-            .run()
+            .with_packet_len(4);
+        let sim = Simulator::new(topo, flows, &routes, traffic.clone(), config).expect("valid");
+        run_ff(sim, fast_forward)
     }
 
     #[test]
@@ -1594,16 +1615,97 @@ mod tests {
             let config = SimConfig::new(2)
                 .with_warmup(4_000)
                 .with_measurement(500)
-                .with_packet_len(4)
-                .with_fast_forward(ff);
-            Simulator::new(&topo, &flows, &routes, spec.clone(), config)
-                .expect("valid")
-                .run()
+                .with_packet_len(4);
+            let sim = Simulator::new(&topo, &flows, &routes, spec.clone(), config).expect("valid");
+            run_ff(sim, ff)
         };
         let (with_skip, without_skip) = (run(true), run(false));
         assert_eq!(with_skip, without_skip);
         assert_eq!(with_skip.cycles, 4_500, "skipped cycles still count");
         assert!(with_skip.generated_packets > 0);
+    }
+
+    /// Workload `which` of the fast-forward proptest: transpose, which
+    /// needs a power-of-two square side (odd grids fall back to
+    /// uniform-random so the case space stays dense), neighbor, or
+    /// uniform-random.
+    fn proptest_flows(topo: &Topology, which: u8) -> FlowSet {
+        use bsor_workloads::{neighbor, transpose, uniform_random};
+        let workload = match which {
+            0 => transpose(topo).unwrap_or_else(|_| uniform_random(topo).expect("n >= 2")),
+            1 => neighbor(topo).expect("side >= 2"),
+            _ => uniform_random(topo).expect("n >= 2"),
+        };
+        workload.flows
+    }
+
+    /// Flat, on/off bursty or phase-scheduled traffic at `rate`.
+    fn proptest_traffic(flows: &FlowSet, rate: f64, shape: u8) -> TrafficSpec {
+        use crate::traffic::{BurstyOnOff, PhaseSchedule};
+        let base = TrafficSpec::proportional(flows, rate);
+        match shape {
+            0 => base,
+            1 => base.with_burst(BurstyOnOff::new(40.0, 120.0)),
+            _ => base.with_phases(PhaseSchedule::from_pairs([(100, 1.5), (150, 0.5)])),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// topology x workload x traffic-shape x rate x seed: at pipeline
+        /// latency 1 and 4, the every-cycle report must be byte-identical
+        /// to the fast-forwarding one. At latency 4 flits sit in the hop
+        /// pipeline across cycle boundaries, which the skip condition has
+        /// to see.
+        #[test]
+        fn fast_forward_keeps_reports_identical_at_pipeline_latency_1_and_4(
+            side in 3u16..=5,
+            torus_sel in 0u8..2,
+            which_workload in 0u8..3,
+            shape in 0u8..3,
+            rate_step in 1u32..=6,
+            seed in 0u64..1_000,
+        ) {
+            let torus = torus_sel == 1;
+            let topo = if torus {
+                Topology::torus2d(side, side)
+            } else {
+                Topology::mesh2d(side, side)
+            };
+            let flows = proptest_flows(&topo, which_workload);
+            let rate = f64::from(rate_step) * 0.05; // 0.05 .. 0.30
+            let algo = if torus { Baseline::XY } else { Baseline::YX };
+            let routes = algo.select(&topo, &flows, 2).expect("baseline routes");
+            for pipeline in [1u8, 4] {
+                let run = |ff: bool| {
+                    let config = SimConfig::new(2)
+                        .with_warmup(200)
+                        .with_measurement(800)
+                        .with_packet_len(4)
+                        .with_seed(seed)
+                        .with_pipeline_latency(pipeline);
+                    let traffic = proptest_traffic(&flows, rate, shape);
+                    let sim = Simulator::new(&topo, &flows, &routes, traffic, config)
+                        .expect("valid");
+                    run_ff(sim, ff)
+                };
+                let reference = run(true);
+                proptest::prop_assert!(reference.generated_packets > 0);
+                proptest::prop_assert_eq!(
+                    &run(false),
+                    &reference,
+                    "pipeline={} diverged without fast-forward (side={}, torus={}, workload={}, shape={}, rate={}, seed={})",
+                    pipeline,
+                    side,
+                    torus,
+                    which_workload,
+                    shape,
+                    rate,
+                    seed
+                );
+            }
+        }
     }
 
     #[test]

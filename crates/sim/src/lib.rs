@@ -54,7 +54,7 @@ pub use engine::Simulator;
 pub use error::Error;
 pub use plan::{
     CacheStats, EvalPoint, Evaluation, Evaluator, InvalidateOutcome, PlanCache, PlanCacheConfig,
-    PlanError, PlanId, PlanKey, PlanStats, Planner, RoutePlan, SimEvaluator, StaticMclEvaluator,
+    PlanError, PlanId, PlanKey, Planner, RoutePlan, SimEvaluator, StaticMclEvaluator,
 };
 pub use scenario::{
     AlgorithmError, RouteAlgorithm, Scenario, ScenarioBuilder, ScenarioCtx, ScenarioError,

@@ -22,8 +22,10 @@
 //!   straight from the plan, no simulation) and [`SimEvaluator`] (the
 //!   cycle-accurate arena engine);
 //! * a [`PlanCache`] keyed by a canonical hash of the plan inputs lets
-//!   every rate/burst/saturation axis reuse one plan per case instead of
-//!   re-solving the same selection per grid point.
+//!   many requests for the same inputs (the clients of a plan server)
+//!   share one plan instead of re-solving the same selection per
+//!   request. A caller that holds its plan, as a sweep case does for
+//!   all its load points, needs no cache.
 //!
 //! ```
 //! use bsor_routing::Baseline;
@@ -386,41 +388,28 @@ impl From<RouteError> for PlanError {
     }
 }
 
-/// Sizing knobs for a [`PlanCache`].
+/// Independently locked shards of a [`PlanCache`].
+const SHARDS: usize = 8;
+
+/// LRU budgets for a [`PlanCache`].
 ///
-/// The defaults are an unbounded cache over
-/// [`PlanCacheConfig::DEFAULT_SHARDS`] shards — the PR-5 behaviour,
-/// minus the lock contention. Capacities are totals across shards;
-/// enforcement is per shard (each shard gets an equal slice), so a
-/// bounded cache's occupancy can transiently sit below the total while
-/// one hot shard evicts. When `max_plans` is smaller than the shard
-/// count the cache collapses to `max_plans` shards, so tiny caches
-/// (capacity 1) behave as a strict global LRU.
-#[derive(Clone, Copy, Debug)]
+/// The defaults are an unbounded cache. The cache always spreads its
+/// plans over 8 independently locked shards. Capacities are totals
+/// across shards; enforcement is per shard (each shard gets an equal
+/// slice), so a bounded cache's occupancy can transiently sit below the
+/// total while one hot shard evicts. When `max_plans` is smaller than
+/// the shard count the cache collapses to `max_plans` shards, so tiny
+/// caches (capacity 1) behave as a strict global LRU.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PlanCacheConfig {
-    shards: usize,
     max_plans: Option<usize>,
     max_bytes: Option<usize>,
 }
 
 impl PlanCacheConfig {
-    /// Shard count used when none is requested.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// Unbounded cache over the default shard count.
+    /// An unbounded cache.
     pub fn new() -> PlanCacheConfig {
-        PlanCacheConfig {
-            shards: Self::DEFAULT_SHARDS,
-            max_plans: None,
-            max_bytes: None,
-        }
-    }
-
-    /// Number of independently locked shards (clamped to ≥ 1).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> PlanCacheConfig {
-        self.shards = shards.max(1);
-        self
+        PlanCacheConfig::default()
     }
 
     /// Caps the total number of cached plans; least-recently-used
@@ -438,12 +427,6 @@ impl PlanCacheConfig {
     pub fn max_bytes(mut self, max_bytes: usize) -> PlanCacheConfig {
         self.max_bytes = (max_bytes > 0).then_some(max_bytes);
         self
-    }
-}
-
-impl Default for PlanCacheConfig {
-    fn default() -> PlanCacheConfig {
-        PlanCacheConfig::new()
     }
 }
 
@@ -605,10 +588,10 @@ enum Joined {
 /// A thread-safe plan store keyed by the canonical [`PlanKey`], sharded
 /// by [`PlanId`] so concurrent tenants contend per shard, not globally.
 ///
-/// Share one cache (wrapped in an [`Arc`]) across every axis of a sweep
-/// — or across every client of a plan server — and each `(topology,
-/// workload, algorithm, vcs)` case is solved once and reused by every
-/// request that asks for it. Three behaviours beyond a plain map:
+/// Share one cache (wrapped in an [`Arc`]) across every client of a
+/// plan server and each `(topology, workload, algorithm, vcs)` key is
+/// solved once and reused by every request that asks for it. Three
+/// behaviours beyond a plain map:
 ///
 /// * **single flight** — concurrent first requests for the same key
 ///   block on one solver ([`Planner::plan`] routes through it); errors
@@ -649,7 +632,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty, unbounded cache (default shard count).
+    /// An empty, unbounded cache.
     pub fn new() -> PlanCache {
         PlanCache::with_config(PlanCacheConfig::new())
     }
@@ -659,11 +642,7 @@ impl PlanCache {
         // A capacity smaller than the shard count would starve shards
         // (per-shard cap 1 each but only `max_plans` total ever live):
         // collapse to `max_plans` shards so tiny caches are strict LRU.
-        let shards = match config.max_plans {
-            Some(n) => config.shards.min(n),
-            None => config.shards,
-        }
-        .max(1);
+        let shards = config.max_plans.map_or(SHARDS, |n| n.clamp(1, SHARDS));
         let per = |total: Option<usize>| total.map(|t| t.div_ceil(shards).max(1));
         PlanCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -909,19 +888,6 @@ impl PlanCache {
     }
 }
 
-/// Counters a [`Planner`] accumulates across [`Planner::plan`] calls.
-///
-/// `solves` counts actual route selections (the expensive MILP /
-/// Dijkstra work, successful or failed); `cache_hits` counts requests
-/// served from the [`PlanCache`] without solving.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Route selections actually performed.
-    pub solves: u64,
-    /// Plan requests served from the cache.
-    pub cache_hits: u64,
-}
-
 /// Turns scenarios + algorithms into cached, validated [`RoutePlan`]s.
 ///
 /// Planning runs the algorithm, validates the routes (one per flow,
@@ -929,14 +895,12 @@ pub struct PlanStats {
 /// Lemma 1, as a re-checkable [`DeadlockCertificate`]), compiles the
 /// node tables and precomputes the static channel loads. With a
 /// [`PlanCache`] attached, repeated requests for the same canonical
-/// inputs return the same [`Arc`]ed artifact and count as
-/// [`PlanStats::cache_hits`] instead of re-solving.
+/// inputs return the same [`Arc`]ed artifact instead of re-solving, and
+/// the cache counts them in its [`CacheStats`].
 #[derive(Debug, Default)]
 pub struct Planner {
     cache: Option<Arc<PlanCache>>,
     compact_tables: bool,
-    solves: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 impl Planner {
@@ -971,23 +935,14 @@ impl Planner {
         self.cache.as_ref()
     }
 
-    /// Solve / cache-hit counters so far.
-    pub fn stats(&self) -> PlanStats {
-        PlanStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
     /// Plans `algorithm` on `scenario`: cache lookup first, then the
     /// full select → validate → certify (Lemma 1) → compile pipeline.
     ///
     /// With a cache attached the lookup is *single-flight*: concurrent
     /// first requests for the same [`PlanKey`] block on one solver
-    /// instead of re-solving — the followers count as
-    /// [`PlanStats::cache_hits`] (and [`CacheStats::dedup_waits`]) when
-    /// the leader succeeds. A leader's error is broadcast to its
-    /// followers but never cached, so the next request retries.
+    /// instead of re-solving, and count as [`CacheStats::dedup_waits`].
+    /// A leader's error is broadcast to its followers but never cached,
+    /// so the next request retries.
     ///
     /// # Errors
     ///
@@ -1000,7 +955,6 @@ impl Planner {
     ) -> Result<Arc<RoutePlan>, PlanError> {
         let key = PlanKey::new(scenario, &algorithm.cache_key());
         let Some(cache) = &self.cache else {
-            self.solves.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::new(build_plan(
                 scenario,
                 algorithm,
@@ -1009,19 +963,9 @@ impl Planner {
             )?));
         };
         match cache.join(&key) {
-            Joined::Hit(plan) => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(plan)
-            }
-            Joined::Follower(flight) => {
-                let result = flight.wait();
-                if result.is_ok() {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                result
-            }
+            Joined::Hit(plan) => Ok(plan),
+            Joined::Follower(flight) => flight.wait(),
             Joined::Leader(flight) => {
-                self.solves.fetch_add(1, Ordering::Relaxed);
                 let start = Instant::now();
                 let result =
                     build_plan(scenario, algorithm, key.id(), self.compact_tables).map(Arc::new);
@@ -1422,18 +1366,13 @@ mod tests {
         let a = planner.plan(&s, &Baseline::XY).expect("plans");
         let b = planner.plan(&s, &Baseline::XY).expect("cached");
         assert!(Arc::ptr_eq(&a, &b), "hit must return the cached Arc");
-        assert_eq!(
-            planner.stats(),
-            PlanStats {
-                solves: 1,
-                cache_hits: 1
-            }
-        );
+        let cache = planner.cache().expect("attached");
+        assert_eq!((cache.stats().solves, cache.stats().hits), (1, 1));
         // A different algorithm is a different key.
         let c = planner.plan(&s, &Baseline::YX).expect("plans");
         assert_ne!(a.id(), c.id());
-        assert_eq!(planner.stats().solves, 2);
-        assert_eq!(planner.cache().unwrap().len(), 2);
+        assert_eq!(cache.stats().solves, 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -1482,12 +1421,9 @@ mod tests {
         let b = planner
             .plan(&s, &bsor_routing::Baseline::Romm { seed: 9 })
             .expect("plans");
-        assert_eq!(
-            planner.stats().solves,
-            2,
-            "different seeds, different plans"
-        );
-        assert_eq!(planner.stats().cache_hits, 0);
+        let stats = planner.cache().expect("attached").stats();
+        assert_eq!(stats.solves, 2, "different seeds, different plans");
+        assert_eq!(stats.hits, 0);
         assert_ne!(a.id(), b.id());
         // Same-named CDGs with different dependence edges are different
         // plan inputs too: the key encodes the edge structure.

@@ -6,7 +6,7 @@
 //! module is that composition made concrete:
 //!
 //! * [`ScenarioCtx`] bundles everything a routing algorithm may consult —
-//!   topology, its CSR index, the flows, the VC count and an acyclic CDG.
+//!   topology, the flows, the VC count and an acyclic CDG.
 //! * [`RouteAlgorithm`] is the single trait every algorithm implements —
 //!   the paper's baselines (XY/YX/O1TURN/ROMM/Valiant) and the BSOR
 //!   selectors alike — replacing the two historical `select` signatures.
@@ -69,22 +69,19 @@ use bsor_routing::selectors::{
     AcObliviousSelector, DijkstraSelector, MilpSelector, RandomWalkSelector,
 };
 use bsor_routing::{RouteSet, SelectError};
-use bsor_topology::{TopoIndex, Topology, TopologyKind};
+use bsor_topology::{Topology, TopologyKind};
 use std::error::Error;
 use std::fmt;
 
 /// Everything a [`RouteAlgorithm`] may consult when computing routes.
 ///
 /// The context is a borrow bundle: one [`Scenario`] hands the same
-/// topology/index/flows/CDG to every algorithm it runs, so comparisons
+/// topology/flows/CDG to every algorithm it runs, so comparisons
 /// (the paper's Tables 6.1–6.3) are guaranteed to see identical inputs.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioCtx<'a> {
     /// The interconnect.
     pub topo: &'a Topology,
-    /// Flat CSR adjacency over `topo` (what the simulator's hot path and
-    /// index-hungry selectors use).
-    pub index: &'a TopoIndex,
     /// The application's flows with bandwidth demands.
     pub flows: &'a FlowSet,
     /// Virtual channels per physical channel.
@@ -446,12 +443,12 @@ impl ScenarioBuilder {
     /// Validates the flows and assembles the scenario (deriving the
     /// default CDG when none was supplied).
     ///
-    /// Construction is eager: the CDG and the [`TopoIndex`] are built
-    /// here — once per scenario, not per algorithm or load point — so
-    /// every algorithm the scenario runs sees identical inputs and CDG
-    /// derivation failures surface at build time rather than mid-sweep.
-    /// Both are cheap next to one route selection (a CDG is one pass
-    /// over the links; selectors explore many CDGs).
+    /// Construction is eager: the CDG is built here — once per
+    /// scenario, not per algorithm or load point — so every algorithm
+    /// the scenario runs sees identical inputs and CDG derivation
+    /// failures surface at build time rather than mid-sweep. It is cheap
+    /// next to one route selection (a CDG is one pass over the links;
+    /// selectors explore many CDGs).
     ///
     /// # Errors
     ///
@@ -463,10 +460,8 @@ impl ScenarioBuilder {
             Some(cdg) => cdg,
             None => default_cdg(&self.topo, self.vcs)?,
         };
-        let index = TopoIndex::new(&self.topo);
         Ok(Scenario {
             name: self.name,
-            index,
             topo: self.topo,
             flows: self.flows,
             vcs: self.vcs,
@@ -484,7 +479,6 @@ impl ScenarioBuilder {
 pub struct Scenario {
     name: String,
     topo: Topology,
-    index: TopoIndex,
     flows: FlowSet,
     vcs: u8,
     cdg: AcyclicCdg,
@@ -525,7 +519,6 @@ impl Scenario {
     pub fn ctx(&self) -> ScenarioCtx<'_> {
         ScenarioCtx {
             topo: &self.topo,
-            index: &self.index,
             flows: &self.flows,
             vcs: self.vcs,
             cdg: &self.cdg,

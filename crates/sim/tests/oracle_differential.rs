@@ -405,14 +405,13 @@ proptest! {
 
     /// For random per-flow rates, with and without a phase schedule
     /// (whose scales carry rates across integers and to zero), on/off
-    /// bursts and Markov variation, and with fast-forward on and off,
-    /// the engine generates exactly the oracle's packets per flow.
+    /// bursts and Markov variation, the engine generates exactly the
+    /// oracle's packets per flow.
     /// High rates saturate the network, so only counts are compared.
     #[test]
     fn engine_generation_counts_match_the_oracle(
         picks in prop::collection::vec(0usize..RATES.len(), 9),
         shape in 0u8..8,
-        fast_forward in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
         let topo = Topology::mesh2d(3, 3);
@@ -434,8 +433,7 @@ proptest! {
             .with_warmup(100)
             .with_measurement(300)
             .with_packet_len(4)
-            .with_seed(seed)
-            .with_fast_forward(fast_forward == 1);
+            .with_seed(seed);
         let expected = generated_per_flow(&oracle_generate(&traffic, &config), flows.len());
         let report = Simulator::new(&topo, &flows, &routes, traffic, config)
             .expect("valid sim")
