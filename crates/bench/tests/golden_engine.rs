@@ -12,7 +12,7 @@ use bsor_sim::{SimConfig, SimReport, Simulator, TrafficSpec};
 use bsor_topology::Topology;
 use bsor_workloads::transpose;
 
-fn transpose_report(algo: &str, rate: f64) -> SimReport {
+fn transpose_report(algo: &str, rate: f64, packet_len: usize) -> SimReport {
     let topo = Topology::mesh2d(8, 8);
     let w = transpose(&topo).expect("8x8 is square");
     let routes = match algo {
@@ -30,7 +30,8 @@ fn transpose_report(algo: &str, rate: f64) -> SimReport {
     let traffic = TrafficSpec::proportional(&w.flows, rate);
     let config = SimConfig::new(2)
         .with_warmup(2_000)
-        .with_measurement(10_000);
+        .with_measurement(10_000)
+        .with_packet_len(packet_len);
     let mut sim = Simulator::new(&topo, &w.flows, &routes, traffic, config).expect("valid");
     sim.run()
 }
@@ -64,7 +65,7 @@ fn digest(r: &SimReport) -> Digest {
 
 #[test]
 fn golden_8x8_transpose_xy() {
-    let d = digest(&transpose_report("xy", 0.8));
+    let d = digest(&transpose_report("xy", 0.8, 8));
     assert_eq!(
         d,
         Digest {
@@ -83,7 +84,7 @@ fn golden_8x8_transpose_xy() {
 
 #[test]
 fn golden_8x8_transpose_bsor_dijkstra() {
-    let d = digest(&transpose_report("bsor", 0.8));
+    let d = digest(&transpose_report("bsor", 0.8, 8));
     assert_eq!(
         d,
         Digest {
@@ -95,6 +96,48 @@ fn golden_8x8_transpose_bsor_dijkstra() {
             latency_max: 113,
             link_flits_sum: 388790,
             link_flits_max: 3672,
+            deadlocked: false,
+        }
+    );
+}
+
+/// One-flit packets: the head is also the tail, so a packet enters and
+/// leaves every buffer in a single move.
+#[test]
+fn golden_8x8_transpose_xy_single_flit_packets() {
+    let d = digest(&transpose_report("xy", 0.8, 1));
+    assert_eq!(
+        d,
+        Digest {
+            generated: 8099,
+            delivered: 8095,
+            delivered_flits: 8095,
+            latency_sum: 56891,
+            latency_count: 8091,
+            latency_max: 16,
+            link_flits_sum: 48611,
+            link_flits_max: 996,
+            deadlocked: false,
+        }
+    );
+}
+
+/// 20-flit packets outgrow the 16-flit buffers, so a packet's body
+/// waits at its source while the injection VC is full.
+#[test]
+fn golden_8x8_transpose_xy_packets_longer_than_a_buffer() {
+    let d = digest(&transpose_report("xy", 0.8, 20));
+    assert_eq!(
+        d,
+        Digest {
+            generated: 8099,
+            delivered: 5745,
+            delivered_flits: 114943,
+            latency_sum: 461920,
+            latency_count: 5558,
+            latency_max: 2883,
+            link_flits_sum: 792254,
+            link_flits_max: 10000,
             deadlocked: false,
         }
     );

@@ -1,8 +1,10 @@
 //! Concurrency contract of the sharded single-flight [`PlanCache`]:
 //! N racing planners on one key cost exactly one route solve, LRU
 //! eviction holds under a capacity-1 cache, `invalidate` during an
-//! in-flight solve neither deadlocks nor corrupts the cache, and
-//! solver errors propagate to followers without being cached.
+//! in-flight solve neither deadlocks nor corrupts the cache, each
+//! invalidation delta examines, evicts and keeps exactly the plans it
+//! should, and solver errors propagate to followers without being
+//! cached.
 
 use bsor_routing::{Baseline, RouteSet};
 use bsor_sim::{
@@ -150,6 +152,50 @@ fn invalidate_during_inflight_solve_neither_deadlocks_nor_corrupts() {
     assert_eq!(outcome.examined, 1);
     assert_eq!(outcome.evicted, 1);
     assert_eq!(cache.len(), 0);
+}
+
+/// The paper's transpose pattern on a `side` x `side` mesh.
+fn transpose_scenario(side: u16) -> Scenario {
+    let topo = Topology::mesh2d(side, side);
+    let flows = bsor_workloads::transpose(&topo)
+        .expect("square power-of-two mesh")
+        .flows;
+    Scenario::builder(topo, flows)
+        .named("transpose")
+        .vcs(2)
+        .build()
+        .expect("transpose scenario builds")
+}
+
+#[test]
+fn invalidate_counts_examined_evicted_and_kept_plans_exactly() {
+    let small = transpose_scenario(4);
+    let large = transpose_scenario(8);
+    let cache = PlanCache::shared();
+    let planner = Planner::new().with_cache(cache.clone());
+    // Each delta starts from the same three cached plans, XY and YX on
+    // the 4x4 mesh and XY on the 8x8 mesh (evicted plans re-solve), and
+    // yields ((examined, evicted, recertified), plans left).
+    let invalidate = |delta: &[(u32, u32)]| {
+        planner.plan(&small, &Baseline::XY).expect("plans");
+        planner.plan(&small, &Baseline::YX).expect("plans");
+        planner.plan(&large, &Baseline::XY).expect("plans");
+        assert_eq!(cache.len(), 3);
+        let outcome = cache.invalidate(delta);
+        let counts = (outcome.examined, outcome.evicted, outcome.recertified);
+        (counts, cache.len())
+    };
+    // Transpose routes demand over every link of both meshes in one
+    // direction or the other, so every examined plan is evicted.
+    // Node 0's east link exists on both meshes.
+    assert_eq!(invalidate(&[(0, 1)]), ((3, 3, 0), 0));
+    // Nodes 0 and 5 are not adjacent on either mesh.
+    assert_eq!(invalidate(&[(0, 5)]), ((0, 0, 0), 3));
+    // The 0-4 link is named in both directions, and a plan it crosses
+    // is examined once; 0-4 and 1-5 are links of the 4x4 mesh only.
+    assert_eq!(invalidate(&[(0, 4), (4, 0), (1, 5)]), ((2, 2, 0), 1));
+    let stats = cache.stats();
+    assert_eq!((stats.evicted_invalidated, stats.recertified), (5, 0));
 }
 
 #[test]
