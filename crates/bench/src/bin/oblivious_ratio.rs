@@ -47,8 +47,12 @@ fn cases() -> Vec<Case> {
     let mesh = standard_mesh();
     let mesh_spec = format!("{}x{}", mesh.width(), mesh.height());
     let fullmesh = bsor_topology::full_mesh(8).expect("8 is in range");
-    let wan = bsor_topology::load_topology_file("assets/topologies/wan5.topo")
-        .expect("committed sample parses (run from the workspace root)");
+    // Compiled in, so the table runs from any directory.
+    let wan = bsor_topology::parse_topology_file(
+        "assets/topologies/wan5.topo",
+        include_str!("../../../../assets/topologies/wan5.topo"),
+    )
+    .expect("committed sample parses");
     vec![
         Case {
             spec: mesh_spec,

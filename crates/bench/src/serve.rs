@@ -771,10 +771,10 @@ mod tests {
             assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
         }
         assert_eq!(svc.cache().len(), 3);
-        // Node 0 -> node 1 is the mesh's first horizontal hop: XY
-        // transpose routing crosses it, neighbor(0->1) uses it too, but
-        // YX transpose goes vertical first — so YX survives via
-        // re-certification.
+        // Node 0 -> node 1 is the mesh's first horizontal hop, so all
+        // three plans contain it. A delta matches both directions, and
+        // a plan routing no demand over either is kept and counted in
+        // `recertified`.
         let response =
             Json::parse(&svc.handle_line(r#"{"op":"invalidate","links":[[0,1]]}"#)).expect("ok");
         let result = response.get("result").expect("result");

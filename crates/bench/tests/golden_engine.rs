@@ -3,7 +3,10 @@
 //! The numbers below were captured from the seed engine (PR 1's
 //! HashMap-based hot path) on the paper's 8×8 transpose scenario. The
 //! flattened engine must reproduce them exactly: the arena refactor is a
-//! data-layout change, not a behavioral one.
+//! data-layout change, not a behavioral one. The 1-flit and 20-flit
+//! digests were captured from the engine whose source queues held
+//! pre-built flits; making each flit as it enters the injection VC
+//! reproduces them.
 
 use bsor::{BsorBuilder, SelectorKind};
 use bsor_routing::selectors::DijkstraSelector;

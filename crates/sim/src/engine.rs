@@ -23,7 +23,9 @@
 //!    flits per cycle (the paper's 4× resource links). Arrivals land in
 //!    the downstream buffer at the end of the cycle.
 //! 4. **Injection** — up to `local_bandwidth` flits move from the source
-//!    queue into the injection port's VC buffers.
+//!    queue into the injection port's VC buffers. A source queue holds
+//!    one entry per waiting packet; its head, body and tail flits are
+//!    made as they enter the injection VC.
 //!
 //! Credits are modelled as direct downstream-occupancy checks (an ideal
 //! zero-latency credit loop). A progress watchdog aborts the run and
@@ -63,10 +65,9 @@ use crate::traffic::{BurstState, InjectionProcess, TrafficSpec, VariationState};
 use bsor_flow::{FlowId, FlowSet};
 use bsor_routing::tables::{NodeTables, RouteTables};
 use bsor_routing::RouteSet;
-use bsor_topology::{LinkId, NodeId, TopoIndex, Topology};
+use bsor_topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -107,7 +108,18 @@ enum PortState {
     },
 }
 
-/// Streaming state of a source queue into the injection port.
+/// A packet waiting in its source queue. Its flits are made as they
+/// enter the injection port.
+#[derive(Clone, Copy, Debug)]
+struct Waiting {
+    packet: u32,
+    flow: FlowId,
+    /// Routing-table cursor of the packet's first hop.
+    cursor: u32,
+}
+
+/// Streaming state of a source queue into the injection port: the
+/// front packet's VC and its flits not yet injected.
 #[derive(Clone, Copy, Debug)]
 struct InjectionProgress {
     vc: u8,
@@ -149,26 +161,6 @@ struct SwitchScratch {
     eject: Vec<(u32, u32)>,
     /// A bucket filtered down to this instant's eligible candidates.
     eligible: Vec<(u32, u32)>,
-    /// The current node's output links.
-    outs: Vec<LinkId>,
-}
-
-// ---------------------------------------------------------------------------
-// Cross-case arena reuse
-// ---------------------------------------------------------------------------
-
-/// Flit-queue allocations kept alive between simulator instances on the
-/// same thread. A sweep worker churning through hundreds of cases reuses
-/// the previous case's `VecDeque` heap buffers instead of reallocating
-/// `(links + nodes) * vcs` of them per case.
-#[derive(Default)]
-struct EngineArena {
-    bufs: Vec<VecDeque<Flit>>,
-    srcs: Vec<VecDeque<Flit>>,
-}
-
-thread_local! {
-    static ARENA: RefCell<EngineArena> = RefCell::new(EngineArena::default());
 }
 
 // ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ thread_local! {
 // ---------------------------------------------------------------------------
 
 /// All router and run state the cycle loop mutates, stored as
-/// structure-of-arrays over the dense indices of a [`TopoIndex`].
+/// structure-of-arrays over the topology's dense node and link ids.
 /// Generation state lives in the [`Injector`].
 ///
 /// Buffer indexing: the buffer downstream of link `l` on VC `v` is
@@ -198,8 +190,8 @@ struct Network {
     /// skipped by the route and switch phases — an exact optimization,
     /// since arbiters only advance when a candidate exists.
     node_occ: Vec<u32>,
-    /// Per-node source queues (whole packets, flit by flit).
-    src_queues: Vec<VecDeque<Flit>>,
+    /// Per-node source queues, one entry per waiting packet.
+    src_queues: Vec<VecDeque<Waiting>>,
     inj_progress: Vec<Option<InjectionProgress>>,
     rr_out: Vec<usize>,
     rr_eject: Vec<usize>,
@@ -214,6 +206,11 @@ struct Network {
     /// `node_inputs[node_input_off[n] .. node_input_off[n + 1]]`.
     node_inputs: Vec<u32>,
     node_input_off: Vec<u32>,
+    /// CSR of each node's out-links in topology order (the output
+    /// arbitration order): node `n` reads
+    /// `node_outs[node_out_off[n] .. node_out_off[n + 1]]`.
+    node_outs: Vec<LinkId>,
+    node_out_off: Vec<u32>,
     /// Each link's position within its source node's out-link list.
     link_out_pos: Vec<u32>,
     /// Owning (downstream) node of every buffer.
@@ -239,8 +236,9 @@ struct Network {
     /// Whether any flit moved this cycle.
     progress: bool,
     in_network_flits: u64,
-    /// Flits sitting in source queues, waiting to be injected.
-    backlog_flits: u64,
+    /// Packets in source queues; a packet leaves its queue with its
+    /// tail flit.
+    waiting_packets: u64,
     cycle: u64,
     last_progress: u64,
     generated_total: u64,
@@ -256,16 +254,18 @@ impl Network {
     /// True when the network is provably empty and the router phases can
     /// be skipped outright (the fast-forward condition). `in_network`
     /// covers VC buffers *and* the hop pipeline (flits in transit were
-    /// injected but not yet ejected); `backlog` covers source queues.
+    /// injected but not yet ejected); `waiting_packets` covers source
+    /// queues.
     fn network_empty(&self) -> bool {
-        self.in_network_flits == 0 && self.backlog_flits == 0
+        self.in_network_flits == 0 && self.waiting_packets == 0
     }
 
-    /// Queues `count` new packets of flow `i` at its source node.
+    /// Queues `count` new packets of flow `i` at its source node, one
+    /// queue entry each.
     ///
     /// Out of line and cold on purpose: a flow fires on few of the
-    /// cycles the generation loop visits it, and keeping the slot, flit
-    /// and counter work out of that loop lets it hold its RNG and
+    /// cycles the generation loop visits it, and keeping the slot,
+    /// queue and counter work out of that loop lets it hold its RNG and
     /// per-flow arrays in registers.
     #[cold]
     #[inline(never)]
@@ -278,8 +278,7 @@ impl Network {
         measuring: bool,
     ) {
         let flow = flows.flow(FlowId(i as u32));
-        let cursor = Some(tables.initial_cursor(flow.id));
-        let len = self.packet_len;
+        let cursor = tables.initial_cursor(flow.id);
         for _ in 0..count {
             let slot = PacketSlot {
                 entry_cycle: 0,
@@ -297,18 +296,13 @@ impl Network {
                     id
                 }
             };
-            let queue = &mut self.src_queues[flow.src.index()];
-            for k in 0..len {
-                queue.push_back(Flit {
-                    packet,
-                    flow: flow.id,
-                    is_head: k == 0,
-                    is_tail: k == len - 1,
-                    cursor: if k == 0 { cursor } else { None },
-                });
-            }
+            self.src_queues[flow.src.index()].push_back(Waiting {
+                packet,
+                flow: flow.id,
+                cursor,
+            });
         }
-        self.backlog_flits += u64::from(count) * len as u64;
+        self.waiting_packets += u64::from(count);
         if measuring {
             self.stats[i].generated += u64::from(count);
             self.generated_total += u64::from(count);
@@ -378,19 +372,18 @@ impl Network {
     /// only change `X`'s own downstream occupancy (checked before any
     /// move) and the mover's port flag (filtered at pick time), and
     /// ejections only mutate the ejecting buffer itself.
-    fn switch_node(&mut self, n: usize, index: &TopoIndex, ctx: CycleCtx) {
-        let node = NodeId(n as u32);
+    fn switch_node(&mut self, n: usize, ctx: CycleCtx) {
         let vcs = self.vcs;
         let ports_start = self.node_input_off[n] as usize;
         let ports_end = self.node_input_off[n + 1] as usize;
         let num_ports = (ports_end - ports_start) / vcs;
+        let outs_start = self.node_out_off[n] as usize;
+        let outs_end = self.node_out_off[n + 1] as usize;
         // Detach the scratch so the arbitration loops can call
         // `move_flit`/`eject_flit` on `self`.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.port_forwarded[..num_ports].fill(false);
-        scratch.outs.clear();
-        scratch.outs.extend_from_slice(index.out_links(node));
-        for bucket in &mut scratch.forward[..scratch.outs.len()] {
+        for bucket in &mut scratch.forward[..outs_end - outs_start] {
             bucket.clear();
         }
         scratch.eject.clear();
@@ -426,7 +419,8 @@ impl Network {
 
         // Forward outputs: one flit per output channel and per input
         // port per cycle.
-        for (oi, &out) in scratch.outs.iter().enumerate() {
+        for oi in 0..outs_end - outs_start {
+            let out = self.node_outs[outs_start + oi];
             scratch.eligible.clear();
             scratch.eligible.extend(
                 scratch.forward[oi]
@@ -538,59 +532,58 @@ impl Network {
         self.progress = true;
     }
 
-    /// Moves flits from node `n`'s source queue into its injection-port
-    /// buffers.
+    /// Moves flits of the packets waiting in node `n`'s source queue into
+    /// its injection-port buffers, making each flit as it enters.
     fn inject_node(&mut self, n: usize, ctx: CycleCtx) {
         let vcs = self.vcs;
-        let inj_base = self.inj_base as usize;
+        let inj_base = self.inj_base as usize + n * vcs;
         let src = &mut self.src_queues[n];
         let progress_slot = &mut self.inj_progress[n];
         let mut budget = self.local_bandwidth;
-        while budget > 0 && !src.is_empty() {
-            match *progress_slot {
+        while budget > 0 {
+            let Some(&waiting) = src.front() else { break };
+            let (vc, remaining) = match *progress_slot {
                 Some(InjectionProgress { vc, remaining }) => {
-                    let b = inj_base + n * vcs + vc as usize;
-                    let queue = &mut self.flits[b];
-                    if queue.len() >= self.buffer_depth {
+                    if self.flits[inj_base + vc as usize].len() >= self.buffer_depth {
                         break;
                     }
-                    let flit = src.pop_front().expect("nonempty");
-                    if queue.is_empty() {
-                        self.node_occ[n] += 1;
-                    }
-                    queue.push_back(flit);
-                    *progress_slot = (remaining > 1).then_some(InjectionProgress {
-                        vc,
-                        remaining: remaining - 1,
-                    });
+                    (vc, remaining)
                 }
                 None => {
-                    let head = *src.front().expect("nonempty");
-                    debug_assert!(head.is_head, "packet streams are contiguous");
                     let chosen = (0..vcs as u8).find(|&v| {
-                        let b = inj_base + n * vcs + v as usize;
+                        let b = inj_base + v as usize;
                         self.owner[b].is_none() && self.flits[b].len() < self.buffer_depth
                     });
                     let Some(v) = chosen else { break };
-                    let flit = src.pop_front().expect("nonempty");
-                    let b = inj_base + n * vcs + v as usize;
-                    self.owner[b] = Some(head.packet);
-                    let queue = &mut self.flits[b];
-                    if queue.is_empty() {
-                        self.node_occ[n] += 1;
-                    }
-                    queue.push_back(flit);
-                    self.slots[head.packet as usize].entry_cycle = ctx.cycle;
-                    if self.packet_len > 1 {
-                        *progress_slot = Some(InjectionProgress {
-                            vc: v,
-                            remaining: self.packet_len - 1,
-                        });
-                    }
+                    self.owner[inj_base + v as usize] = Some(waiting.packet);
+                    self.slots[waiting.packet as usize].entry_cycle = ctx.cycle;
+                    (v, self.packet_len)
                 }
+            };
+            let is_head = remaining == self.packet_len;
+            let queue = &mut self.flits[inj_base + vc as usize];
+            if queue.is_empty() {
+                self.node_occ[n] += 1;
+            }
+            queue.push_back(Flit {
+                packet: waiting.packet,
+                flow: waiting.flow,
+                is_head,
+                is_tail: remaining == 1,
+                cursor: is_head.then_some(waiting.cursor),
+            });
+            if remaining == 1 {
+                // The tail is in: the packet leaves its source queue.
+                src.pop_front();
+                self.waiting_packets -= 1;
+                *progress_slot = None;
+            } else {
+                *progress_slot = Some(InjectionProgress {
+                    vc,
+                    remaining: remaining - 1,
+                });
             }
             self.in_network_flits += 1;
-            self.backlog_flits -= 1;
             self.progress = true;
             budget -= 1;
         }
@@ -809,14 +802,14 @@ fn check_run_size(traffic: &TrafficSpec, config: &SimConfig) -> Result<(), SimEr
 /// The simulator. Construct with [`Simulator::new`], execute with
 /// [`Simulator::run`].
 ///
-/// All per-cycle state lives in flat arenas keyed by the dense
-/// `NodeId`/`LinkId`/VC indices of a [`TopoIndex`] snapshot: VC buffers
-/// as structure-of-arrays (`link * vcs + vc`, then injection ports),
+/// All per-cycle state lives in flat arenas keyed by the topology's
+/// dense `NodeId`/`LinkId`/VC indices: VC buffers as
+/// structure-of-arrays (`link * vcs + vc`, then injection ports),
 /// per-packet bookkeeping in a recycled slot arena, and per-node
-/// input-port lists in a precomputed CSR. The cycle loop performs no
-/// hashing and no allocation, skips routers with no occupied input
-/// buffer, and fast-forwards provably idle cycles — with byte-identical
-/// reports for a fixed seed (see the module docs).
+/// input-buffer and out-link lists in CSRs built at assembly. The cycle
+/// loop performs no hashing and no allocation, skips routers with no
+/// occupied input buffer, and fast-forwards provably idle cycles — with
+/// byte-identical reports for a fixed seed (see the module docs).
 pub struct Simulator<'a, T: RouteTables + Clone = NodeTables> {
     topo: &'a Topology,
     flows: &'a FlowSet,
@@ -826,7 +819,6 @@ pub struct Simulator<'a, T: RouteTables + Clone = NodeTables> {
     /// through `Deref` either way.
     tables: std::borrow::Cow<'a, T>,
     traffic: TrafficSpec,
-    index: TopoIndex,
     net: Network,
     injector: Injector,
 }
@@ -921,7 +913,6 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
                 return Err(SimError::VcOutOfRange { vcs: config.vcs });
             }
         }
-        let index = TopoIndex::new(topo);
         let nl = topo.num_links();
         let nn = topo.num_nodes();
         let vcs = config.vcs as usize;
@@ -931,40 +922,43 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
         // VCs, then the injection VCs — the order round-robin picks see.
         // In-links are recorded in link-id order, which makes the
         // per-node route pass identical to the old global link scan.
+        // Out-links keep the topology's order, the output arbitration
+        // order.
         let mut node_inputs = Vec::with_capacity(nbufs);
         let mut node_input_off = Vec::with_capacity(nn + 1);
         node_input_off.push(0u32);
+        let mut node_outs = Vec::with_capacity(nl);
+        let mut node_out_off = Vec::with_capacity(nn + 1);
+        node_out_off.push(0u32);
+        let mut link_out_pos = vec![0u32; nl];
+        let (mut max_ports, mut max_out_degree) = (0usize, 0usize);
         for n in topo.node_ids() {
+            let ins = topo.in_links(n);
             debug_assert!(
-                index
-                    .in_links(n)
-                    .windows(2)
-                    .all(|w| w[0].index() < w[1].index()),
+                ins.windows(2).all(|w| w[0].index() < w[1].index()),
                 "in-link order must ascend for route-order equivalence"
             );
-            for &l in index.in_links(n) {
+            for &l in ins {
                 let base = l.index() * vcs;
                 node_inputs.extend((base..base + vcs).map(|i| i as u32));
             }
             let base = inj_base as usize + n.index() * vcs;
             node_inputs.extend((base..base + vcs).map(|i| i as u32));
             node_input_off.push(node_inputs.len() as u32);
-        }
-        let max_ports = index.max_in_degree() + 1;
-        let mut link_out_pos = vec![0u32; nl];
-        let mut max_out_degree = 0usize;
-        for n in topo.node_ids() {
-            let outs = index.out_links(n);
-            max_out_degree = max_out_degree.max(outs.len());
+            max_ports = max_ports.max(ins.len() + 1);
+            let outs = topo.out_links(n);
             for (i, &l) in outs.iter().enumerate() {
                 link_out_pos[l.index()] = i as u32;
             }
+            node_outs.extend_from_slice(outs);
+            node_out_off.push(node_outs.len() as u32);
+            max_out_degree = max_out_degree.max(outs.len());
         }
         let mut buf_node = vec![0u32; nbufs];
-        for l in 0..nl {
-            let dst = index.link_dst(LinkId(l as u32)).0;
+        for l in topo.link_ids() {
+            let dst = topo.link(l).dst.0;
             for v in 0..vcs {
-                buf_node[l * vcs + v] = dst;
+                buf_node[l.index() * vcs + v] = dst;
             }
         }
         for n in 0..nn {
@@ -972,24 +966,15 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
                 buf_node[inj_base as usize + n * vcs + v] = n as u32;
             }
         }
-        let (mut flits, mut src_queues) = ARENA
-            .try_with(|a| {
-                let mut arena = a.borrow_mut();
-                (
-                    std::mem::take(&mut arena.bufs),
-                    std::mem::take(&mut arena.srcs),
-                )
-            })
-            .unwrap_or_default();
-        resize_queues(&mut flits, nbufs, config.buffer_depth);
-        resize_queues(&mut src_queues, nn, 0);
         let net = Network {
-            flits,
+            flits: (0..nbufs)
+                .map(|_| VecDeque::with_capacity(config.buffer_depth))
+                .collect(),
             owner: vec![None; nbufs],
             state: vec![PortState::Idle; nbufs],
             transit_counts: vec![0; nl * vcs],
             node_occ: vec![0; nn],
-            src_queues,
+            src_queues: vec![VecDeque::new(); nn],
             inj_progress: vec![None; nn],
             rr_out: vec![0; nl],
             rr_eject: vec![0; nn],
@@ -999,6 +984,8 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             free_slots: Vec::new(),
             node_inputs,
             node_input_off,
+            node_outs,
+            node_out_off,
             link_out_pos,
             buf_node,
             inj_base,
@@ -1007,7 +994,6 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
                 forward: vec![Vec::with_capacity(max_ports * vcs); max_out_degree],
                 eject: Vec::with_capacity(max_ports * vcs),
                 eligible: Vec::with_capacity(max_ports * vcs),
-                outs: Vec::with_capacity(max_out_degree),
             },
             vcs,
             buffer_depth: config.buffer_depth,
@@ -1018,7 +1004,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             spare_sends: Vec::new(),
             progress: false,
             in_network_flits: 0,
-            backlog_flits: 0,
+            waiting_packets: 0,
             cycle: 0,
             last_progress: 0,
             generated_total: 0,
@@ -1032,7 +1018,6 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             config,
             tables,
             traffic,
-            index,
             net,
             injector,
         })
@@ -1106,7 +1091,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
             }
             for n in 0..nn {
                 if net.node_occ[n] > 0 {
-                    net.switch_node(n, &self.index, ctx);
+                    net.switch_node(n, ctx);
                 }
             }
             for n in 0..nn {
@@ -1125,32 +1110,6 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
     }
 }
 
-impl<T: RouteTables + Clone> Drop for Simulator<'_, T> {
-    /// Returns the flit-queue allocations to the thread-local arena so
-    /// the next simulator on this thread (the common sweep-worker case)
-    /// skips reallocating them.
-    fn drop(&mut self) {
-        let mut bufs = std::mem::take(&mut self.net.flits);
-        bufs.iter_mut().for_each(VecDeque::clear);
-        let mut srcs = std::mem::take(&mut self.net.src_queues);
-        srcs.iter_mut().for_each(VecDeque::clear);
-        let _ = ARENA.try_with(move |a| {
-            let mut arena = a.borrow_mut();
-            arena.bufs = bufs;
-            arena.srcs = srcs;
-        });
-    }
-}
-
-/// Resizes an arena allocation to `n` cleared deques, reusing retained
-/// heap capacity where available.
-fn resize_queues(queues: &mut Vec<VecDeque<Flit>>, n: usize, capacity: usize) {
-    queues.truncate(n);
-    queues.iter_mut().for_each(VecDeque::clear);
-    while queues.len() < n {
-        queues.push(VecDeque::with_capacity(capacity));
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1584,9 +1543,9 @@ mod tests {
         for (si, report) in reference.iter().enumerate() {
             assert!(report.delivered_packets > 0, "spec {si} delivers");
         }
-        // Sweeps run cases side by side on scoped threads, each thread
-        // recycling its flit-queue arena from case to case: neither the
-        // thread nor the arena's previous case may leak into a report.
+        // Sweeps run cases side by side on scoped threads, several
+        // cases per thread: neither the thread nor an earlier case on
+        // it may leak into a report.
         std::thread::scope(|scope| {
             for ff in [true, false] {
                 let (topo, flows, specs, reference) = (&topo, &flows, &specs, &reference);

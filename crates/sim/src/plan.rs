@@ -453,11 +453,11 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries evicted by the LRU capacity/byte budget.
     pub evicted_lru: u64,
-    /// Entries evicted by [`PlanCache::invalidate`] (demand on an
-    /// affected link, or a certificate that no longer verifies).
+    /// Entries evicted by [`PlanCache::invalidate`]: the plan routed
+    /// demand over an affected link.
     pub evicted_invalidated: u64,
-    /// Surviving plans whose [`DeadlockCertificate`] was re-verified by
-    /// an invalidation delta.
+    /// Plans an invalidation delta examined and kept: their topology
+    /// has an affected link, but they route no demand over it.
     pub recertified: u64,
     /// Solves currently in flight behind this cache.
     pub in_flight: u64,
@@ -477,18 +477,17 @@ pub struct CacheStats {
     pub table_bytes: u64,
 }
 
-/// What a [`PlanCache::invalidate`] delta did
-/// ([`InvalidateOutcome::examined`] plans touched the affected links;
-/// the rest of the cache was never visited).
+/// What a [`PlanCache::invalidate`] delta did. Plans whose topology has
+/// none of the affected links are not counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct InvalidateOutcome {
     /// Cached plans whose topology contains an affected link.
     pub examined: u64,
-    /// Of those, evicted: the plan routed demand over an affected link,
-    /// or its certificate failed re-verification.
+    /// Of those, evicted: the plan routed demand over an affected link.
     pub evicted: u64,
-    /// Of those, kept after their [`DeadlockCertificate`] re-verified.
+    /// Of those, kept: the plan routes no demand over any affected
+    /// link, so its routes and [`DeadlockCertificate`] still hold.
     pub recertified: u64,
 }
 
@@ -497,10 +496,6 @@ struct CacheEntry {
     plan: Arc<RoutePlan>,
     last_used: u64,
     bytes: usize,
-    /// The `(src, dst)` endpoint pairs this entry is indexed under in
-    /// [`Shard::link_index`] (every topology link), so removal can
-    /// clean the index without a scan.
-    indexed: Vec<(u32, u32)>,
 }
 
 /// A single-flight slot: the leader publishes the solve's result here
@@ -528,14 +523,10 @@ impl Flight {
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// Keys are shared with [`Shard::link_index`] via `Arc`: a
-    /// [`PlanKey`] is O(links + flows) bytes, so cloning it per indexed
-    /// link would make one insert quadratic in topology size (at 64x64
-    /// that is gigabytes of key copies per plan — the scale sweep's
-    /// first finding).
+    /// Keys are `Arc`ed so the LRU and invalidation scans can name a
+    /// victim without copying its O(links + flows)-byte key.
     entries: HashMap<Arc<PlanKey>, CacheEntry>,
     flights: HashMap<PlanKey, Arc<Flight>>,
-    link_index: HashMap<(u32, u32), Vec<Arc<PlanKey>>>,
     tick: u64,
     bytes: usize,
 }
@@ -550,20 +541,10 @@ impl Shard {
         })
     }
 
-    fn remove(&mut self, key: &PlanKey) -> Option<CacheEntry> {
-        // remove_entry recovers the stored Arc, so the index scrub
-        // below compares pointers, not O(key-size) byte strings.
-        let (stored, entry) = self.entries.remove_entry(key)?;
-        self.bytes -= entry.bytes;
-        for pair in &entry.indexed {
-            if let Some(keys) = self.link_index.get_mut(pair) {
-                keys.retain(|k| !Arc::ptr_eq(k, &stored));
-                if keys.is_empty() {
-                    self.link_index.remove(pair);
-                }
-            }
+    fn remove(&mut self, key: &PlanKey) {
+        if let Some(entry) = self.entries.remove(key) {
+            self.bytes -= entry.bytes;
         }
-        Some(entry)
     }
 
     fn lru_key(&self) -> Option<Arc<PlanKey>> {
@@ -599,11 +580,9 @@ enum Joined {
 ///   next request retries;
 /// * **LRU bounds** — optional plan-count and approximate-byte budgets
 ///   ([`PlanCacheConfig`]) evict the least-recently-used entries;
-/// * **incremental invalidation** — [`PlanCache::invalidate`] takes a
-///   link delta and, via a link→plans index, visits only the plans
-///   whose topology contains an affected link: plans routing demand
-///   over it are evicted, survivors keep their entry only if their
-///   Lemma-1 [`DeadlockCertificate`] still verifies.
+/// * **selective invalidation** — [`PlanCache::invalidate`] takes a
+///   link delta and evicts only the plans that route demand over an
+///   affected link; every other plan keeps its entry.
 ///
 /// Counters for all of the above are snapshotted by
 /// [`PlanCache::stats`].
@@ -677,26 +656,14 @@ impl PlanCache {
     }
 
     fn insert_locked(&self, shard: &mut Shard, key: PlanKey, plan: Arc<RoutePlan>) {
-        shard.remove(&key); // replace, don't double-count bytes/index
+        shard.remove(&key); // replace, don't double-count bytes
         let key = Arc::new(key);
-        let topo = plan.topology();
-        let indexed: Vec<(u32, u32)> = topo
-            .link_ids()
-            .map(|l| {
-                let link = topo.link(l);
-                (link.src.0, link.dst.0)
-            })
-            .collect();
-        for pair in &indexed {
-            shard.link_index.entry(*pair).or_default().push(key.clone());
-        }
         let bytes = plan.approx_bytes();
         shard.tick += 1;
         let entry = CacheEntry {
             plan,
             last_used: shard.tick,
             bytes,
-            indexed,
         };
         shard.bytes += bytes;
         shard.entries.insert(key, entry);
@@ -763,54 +730,47 @@ impl PlanCache {
     /// `(src, dst)` node-id endpoint pairs, matched in either direction
     /// — to the cached plans.
     ///
-    /// Via the link→plans index this visits **only** plans whose
-    /// topology contains an affected link (O(affected), not a cache
-    /// scan, and never a cold cache): a plan routing nonzero
-    /// [`RoutePlan::link_demands`] over an affected link is evicted;
-    /// survivors are kept only while their [`DeadlockCertificate`]
-    /// still [`DeadlockCertificate::verify`]s. In-flight solves are
-    /// untouched (they land after the delta and re-solve on the next
-    /// request if affected).
+    /// Scans every cached plan. One whose topology has an affected link
+    /// is examined: it is evicted when its [`RoutePlan::link_demands`]
+    /// are nonzero on an affected link, and kept (counted in
+    /// `recertified`) otherwise, since its routes, and so its
+    /// [`DeadlockCertificate`], do not touch the delta. In-flight solves
+    /// are untouched (they land after the delta and re-solve on the
+    /// next request if affected).
     pub fn invalidate(&self, links: &[(u32, u32)]) -> InvalidateOutcome {
         let mut outcome = InvalidateOutcome::default();
         for shard in &self.shards {
             let mut shard = shard.lock().expect("plan cache poisoned");
-            let mut affected: Vec<Arc<PlanKey>> = Vec::new();
-            for &(a, b) in links {
-                for pair in [(a, b), (b, a)] {
-                    if let Some(keys) = shard.link_index.get(&pair) {
-                        for key in keys {
-                            if !affected.iter().any(|a| Arc::ptr_eq(a, key)) {
-                                affected.push(key.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            for key in affected {
-                let Some(entry) = shard.entries.get(&key) else {
-                    continue;
-                };
-                outcome.examined += 1;
+            let mut evict = Vec::new();
+            for (key, entry) in &shard.entries {
                 let plan = &entry.plan;
                 let topo = plan.topology();
-                let demands_affected = links.iter().any(|&(a, b)| {
-                    [(a, b), (b, a)].iter().any(|&(src, dst)| {
+                let mut affected = links
+                    .iter()
+                    .flat_map(|&(a, b)| [(a, b), (b, a)])
+                    .filter_map(|(src, dst)| {
                         topo.find_link(bsor_topology::NodeId(src), bsor_topology::NodeId(dst))
-                            .is_some_and(|l| plan.link_demands[l.index()] > 0.0)
                     })
-                });
-                let keep = !demands_affected && plan.certificate().verify(plan.routes());
-                if keep {
-                    outcome.recertified += 1;
-                    self.recertified.fetch_add(1, Ordering::Relaxed);
+                    .peekable();
+                if affected.peek().is_none() {
+                    continue;
+                }
+                outcome.examined += 1;
+                if affected.any(|l| plan.link_demands[l.index()] > 0.0) {
+                    evict.push(key.clone());
                 } else {
-                    shard.remove(&key);
-                    outcome.evicted += 1;
-                    self.evicted_invalidated.fetch_add(1, Ordering::Relaxed);
+                    outcome.recertified += 1;
                 }
             }
+            for key in &evict {
+                shard.remove(key);
+            }
+            outcome.evicted += evict.len() as u64;
         }
+        self.recertified
+            .fetch_add(outcome.recertified, Ordering::Relaxed);
+        self.evicted_invalidated
+            .fetch_add(outcome.evicted, Ordering::Relaxed);
         outcome
     }
 
@@ -844,16 +804,6 @@ impl PlanCache {
                     .max()
             })
             .max()
-    }
-
-    /// Drops every cached plan (in-flight solves finish and re-insert).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("plan cache poisoned");
-            shard.entries.clear();
-            shard.link_index.clear();
-            shard.bytes = 0;
-        }
     }
 
     /// A snapshot of the cache's counters and occupancy.

@@ -25,7 +25,6 @@
 
 pub mod geometry;
 pub mod graph;
-pub mod index;
 pub mod net;
 pub mod registry;
 
@@ -34,6 +33,5 @@ pub use graph::{
     directed_graph, dragonfly, fat_tree, full_mesh, load_topology_file, parse_topology_file,
     TopologyFileError,
 };
-pub use index::TopoIndex;
 pub use net::{Link, LinkId, NodeId, Topology, TopologyKind};
 pub use registry::{TopologyError, TopologyFactory, TopologyFamilyFactory, TopologyRegistry};

@@ -40,6 +40,11 @@ use crate::net::Topology;
 use std::error::Error;
 use std::fmt;
 
+/// The most nodes a registry mesh or torus may have: 256x256, the
+/// largest mesh any committed artifact uses. Larger grids are refused
+/// before anything is allocated.
+const MAX_GRID_NODES: usize = 1 << 16;
+
 /// Why a registry lookup or build failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TopologyError {
@@ -145,12 +150,14 @@ impl TopologyRegistry {
             if w == 0 || h == 0 || (w as usize * h as usize) < 2 {
                 return Err(bad("mesh", w, h, "needs positive dims and >= 2 nodes"));
             }
+            check_grid_nodes("mesh", w, h)?;
             Ok(Topology::mesh2d(w, h))
         });
         r.register("torus", |w, h| {
             if w < 3 || h < 3 {
                 return Err(bad("torus", w, h, "both dimensions must be >= 3"));
             }
+            check_grid_nodes("torus", w, h)?;
             Ok(Topology::torus2d(w, h))
         });
         r.register("ring", |w, h| {
@@ -329,6 +336,16 @@ fn parse_dims(s: &str) -> Option<(u16, u16)> {
     Some((w, h))
 }
 
+/// Refuses a `width x height` grid over [`MAX_GRID_NODES`].
+fn check_grid_nodes(name: &str, width: u16, height: u16) -> Result<(), TopologyError> {
+    let nodes = width as usize * height as usize;
+    if nodes > MAX_GRID_NODES {
+        let reason = format!("{nodes} nodes is over the bound of {MAX_GRID_NODES}");
+        return Err(bad(name, width, height, &reason));
+    }
+    Ok(())
+}
+
 fn bad(name: &str, width: u16, height: u16, reason: &str) -> TopologyError {
     TopologyError::BadDimensions {
         name: name.to_owned(),
@@ -389,6 +406,23 @@ mod tests {
         ));
         let err = r.build("nope", 4, 4).unwrap_err();
         assert!(err.to_string().contains("nope"));
+    }
+
+    #[test]
+    fn grids_over_65536_nodes_are_refused_before_they_are_built() {
+        let r = TopologyRegistry::standard();
+        for (name, w, h, nodes) in [
+            ("mesh", 65535, 65535, "4294836225"),
+            ("mesh", 257, 256, "65792"),
+            ("torus", 65535, 65535, "4294836225"),
+            ("torus", 257, 256, "65792"),
+        ] {
+            let err = r.build(name, w, h).unwrap_err();
+            assert!(matches!(err, TopologyError::BadDimensions { .. }), "{err}");
+            let text = err.to_string();
+            assert!(text.contains(nodes) && text.contains("65536"), "{text}");
+        }
+        assert_eq!(r.build("mesh", 256, 256).unwrap().num_nodes(), 65536);
     }
 
     #[test]
