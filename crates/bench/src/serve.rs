@@ -191,8 +191,9 @@ type ScenarioKey = (String, u16, u16, String, u8);
 /// depends on it).
 const SCENARIO_MEMO_CAP: usize = 1024;
 
-/// The serve-side state: registries, a [`Planner`] over a sharded
-/// single-flight [`PlanCache`], and a scenario memo.
+/// The serve-side state: registries, a [`Planner`] over one
+/// single-flight [`PlanCache`] (one lock, exact LRU budgets), and a
+/// scenario memo.
 ///
 /// One `PlanService` is shared (via [`Arc`]) by every connection of a
 /// server; [`PlanService::handle_line`] is safe to call concurrently.

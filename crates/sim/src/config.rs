@@ -130,6 +130,31 @@ impl SimConfig {
     pub fn total_cycles(&self) -> u64 {
         self.warmup + self.measurement + self.drain
     }
+
+    /// Refuses a configuration the engine cannot run: `vcs` outside
+    /// 1..=8, or a zero packet length, buffer depth, local bandwidth,
+    /// pipeline latency or watchdog. The builders assert the same
+    /// rules, but the fields are public.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        if !(1..=8).contains(&self.vcs) {
+            let value = u64::from(self.vcs);
+            return Err(SimError::BadConfig {
+                field: "vcs",
+                value,
+            });
+        }
+        let counts = [
+            ("packet_len", self.packet_len as u64),
+            ("buffer_depth", self.buffer_depth as u64),
+            ("local_bandwidth", self.local_bandwidth as u64),
+            ("pipeline_latency", u64::from(self.pipeline_latency)),
+            ("watchdog", self.watchdog),
+        ];
+        match counts.into_iter().find(|&(_, value)| value == 0) {
+            Some((field, value)) => Err(SimError::BadConfig { field, value }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Errors constructing a [`crate::Simulator`].
@@ -153,6 +178,15 @@ pub enum SimError {
         flows: usize,
         /// Number of per-flow rates provided.
         rates: usize,
+    },
+    /// A [`SimConfig`] field is out of the engine's range: `vcs` outside
+    /// 1..=8, or a zero packet length, buffer depth, local bandwidth,
+    /// pipeline latency or watchdog.
+    BadConfig {
+        /// The field's name.
+        field: &'static str,
+        /// The value it held.
+        value: u64,
     },
     /// A per-flow injection rate is negative or not finite.
     BadRate {
@@ -192,6 +226,14 @@ impl fmt::Display for SimError {
                     f,
                     "traffic spec covers {rates} flows but flow set has {flows}"
                 )
+            }
+            SimError::BadConfig { field, value } => {
+                let range = if *field == "vcs" {
+                    "1..=8"
+                } else {
+                    "at least 1"
+                };
+                write!(f, "config field '{field}' is {value}, must be {range}")
             }
             SimError::BadRate { flow, rate } => {
                 write!(f, "flow {flow} has invalid injection rate {rate}")
@@ -259,6 +301,14 @@ mod tests {
         assert!(!SimError::TrafficCountMismatch { flows: 2, rates: 1 }
             .to_string()
             .is_empty());
+        assert_eq!(
+            SimError::BadConfig {
+                field: "packet_len",
+                value: 0
+            }
+            .to_string(),
+            "config field 'packet_len' is 0, must be at least 1"
+        );
         assert!(!SimError::BadRate {
             flow: 0,
             rate: f64::NAN

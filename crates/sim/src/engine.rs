@@ -50,10 +50,13 @@
 //! `t + pipeline_latency - 1` regardless of how many pipeline slots
 //! were skipped. The unit tests hold fast-forward to byte-identical
 //! reports against a test-only run that sends every cycle through the
-//! router phases.
+//! router phases. A run whose every flow has base rate 0 can generate
+//! nothing (phases, variation and on/off only multiply the rate), so it
+//! skips straight to its last cycle.
 //!
-//! Before the first cycle, [`Simulator::new`] refuses a run the
-//! generator could not finish ([`SimError::RunTooLarge`]): a cycle
+//! Before the first cycle, [`Simulator::new`] refuses a [`SimConfig`]
+//! field out of the engine's range ([`SimError::BadConfig`]) and a run
+//! the generator could not finish ([`SimError::RunTooLarge`]): a cycle
 //! count that overflows `u64`, or a peak packet count (Σ of each
 //! flow's peak per-cycle rate × cycles) beyond the `u32` packet-slot
 //! ids. The bound also keeps every per-cycle rate below 2^53, where the
@@ -829,7 +832,7 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// [`SimError`] when routes, flows, traffic and VC configuration are
-    /// inconsistent.
+    /// inconsistent, or a [`SimConfig`] field is out of range.
     pub fn new(
         topo: &'a Topology,
         flows: &'a FlowSet,
@@ -863,7 +866,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
     /// # Errors
     ///
     /// [`SimError`] when routes, flows, traffic and VC configuration are
-    /// inconsistent.
+    /// inconsistent, or a [`SimConfig`] field is out of range.
     pub fn with_tables(
         topo: &'a Topology,
         flows: &'a FlowSet,
@@ -890,6 +893,7 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
         traffic: TrafficSpec,
         config: SimConfig,
     ) -> Result<Simulator<'a, T>, SimError> {
+        config.check()?;
         if routes.len() != flows.len() {
             return Err(SimError::RouteCountMismatch {
                 flows: flows.len(),
@@ -1069,6 +1073,13 @@ impl<'a, T: RouteTables + Clone> Simulator<'a, T> {
     /// whether the watchdog declared a deadlock.
     fn run_cycles(&mut self, fast_forward: bool) -> bool {
         let total = self.config.total_cycles();
+        // Phase scale, variation and on/off only multiply a flow's base
+        // rate, so with every base rate 0 no cycle can generate a packet:
+        // the whole run is idle.
+        if fast_forward && self.traffic.rates.iter().all(|&r| r == 0.0) {
+            self.net.cycle = total;
+            return false;
+        }
         let nn = self.topo.num_nodes();
         let config = &self.config;
         let tables: &T = self.tables.as_ref();
@@ -1582,6 +1593,110 @@ mod tests {
         assert_eq!(with_skip, without_skip);
         assert_eq!(with_skip.cycles, 4_500, "skipped cycles still count");
         assert!(with_skip.generated_packets > 0);
+    }
+
+    #[test]
+    fn zero_rate_runs_end_at_once_with_the_every_cycle_report() {
+        use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule};
+        let (topo, flows) = mesh_and_flows();
+        let silent = TrafficSpec::proportional(&flows, 0.0);
+        let specs = [
+            silent.clone(),
+            silent.clone().with_burst(BurstyOnOff::new(40.0, 120.0)),
+            silent
+                .clone()
+                .with_phases(PhaseSchedule::from_pairs([(100, 1.5), (150, 0.5)])),
+            silent
+                .clone()
+                .with_variation(MarkovVariation::new(0.5, 50.0)),
+        ];
+        for (si, spec) in specs.iter().enumerate() {
+            let report = run_mesh(&topo, &flows, spec, true);
+            assert_eq!(report, run_mesh(&topo, &flows, spec, false), "spec {si}");
+            assert_eq!((report.cycles, report.generated_packets), (2_300, 0));
+        }
+        // A 10^12-cycle measurement window returns at once.
+        let routes = Baseline::XY.select(&topo, &flows, 2).expect("xy");
+        let config = SimConfig::new(2).with_measurement(1_000_000_000_000);
+        let report = Simulator::new(&topo, &flows, &routes, silent, config)
+            .expect("valid")
+            .run();
+        assert_eq!(report.cycles, 1_000_000_020_000);
+        assert!(!report.deadlocked);
+    }
+
+    /// The error both constructors return for `config`.
+    fn config_refusal(config: SimConfig) -> SimError {
+        let (topo, flows) = mesh_and_flows();
+        let routes = Baseline::XY.select(&topo, &flows, 2).expect("xy");
+        let tables = NodeTables::build(&topo, &routes);
+        let traffic = TrafficSpec::proportional(&flows, 0.2);
+        let borrowed = Simulator::with_tables(
+            &topo,
+            &flows,
+            &routes,
+            &tables,
+            traffic.clone(),
+            config.clone(),
+        )
+        .err()
+        .expect("with_tables refuses");
+        let built = Simulator::new(&topo, &flows, &routes, traffic, config)
+            .err()
+            .expect("new refuses");
+        assert_eq!(borrowed, built);
+        built
+    }
+
+    #[test]
+    fn refuses_vcs_outside_1_to_8() {
+        for vcs in [0, 9] {
+            let mut config = quick_config();
+            config.vcs = vcs;
+            let value = u64::from(vcs);
+            let field = "vcs";
+            assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
+        }
+    }
+
+    #[test]
+    fn refuses_zero_packet_len() {
+        let mut config = quick_config();
+        config.packet_len = 0;
+        let (field, value) = ("packet_len", 0);
+        assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
+    }
+
+    #[test]
+    fn refuses_zero_buffer_depth() {
+        let mut config = quick_config();
+        config.buffer_depth = 0;
+        let (field, value) = ("buffer_depth", 0);
+        assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
+    }
+
+    #[test]
+    fn refuses_zero_local_bandwidth() {
+        let mut config = quick_config();
+        config.local_bandwidth = 0;
+        let (field, value) = ("local_bandwidth", 0);
+        assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
+    }
+
+    #[test]
+    fn refuses_zero_pipeline_latency() {
+        let mut config = quick_config();
+        config.pipeline_latency = 0;
+        let (field, value) = ("pipeline_latency", 0);
+        assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
+    }
+
+    #[test]
+    fn refuses_zero_watchdog() {
+        let mut config = quick_config();
+        config.watchdog = 0;
+        let (field, value) = ("watchdog", 0);
+        assert_eq!(config_refusal(config), SimError::BadConfig { field, value });
     }
 
     /// Workload `which` of the fast-forward proptest: transpose, which

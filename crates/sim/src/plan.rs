@@ -21,7 +21,7 @@
 //!   [`StaticMclEvaluator`] (analytical channel-load/MCL estimate
 //!   straight from the plan, no simulation) and [`SimEvaluator`] (the
 //!   cycle-accurate arena engine);
-//! * a [`PlanCache`] keyed by a canonical hash of the plan inputs lets
+//! * a [`PlanCache`] keyed by the canonical encoding of the plan inputs lets
 //!   many requests for the same inputs (the clients of a plan server)
 //!   share one plan instead of re-solving the same selection per
 //!   request. A caller that holds its plan, as a sweep case does for
@@ -72,8 +72,7 @@ use bsor_topology::Topology;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// The canonical encoding of everything a plan's content depends on:
@@ -388,18 +387,12 @@ impl From<RouteError> for PlanError {
     }
 }
 
-/// Independently locked shards of a [`PlanCache`].
-const SHARDS: usize = 8;
-
 /// LRU budgets for a [`PlanCache`].
 ///
-/// The defaults are an unbounded cache. The cache always spreads its
-/// plans over 8 independently locked shards. Capacities are totals
-/// across shards; enforcement is per shard (each shard gets an equal
-/// slice), so a bounded cache's occupancy can transiently sit below the
-/// total while one hot shard evicts. When `max_plans` is smaller than
-/// the shard count the cache collapses to `max_plans` shards, so tiny
-/// caches (capacity 1) behave as a strict global LRU.
+/// The defaults are an unbounded cache. Both budgets are exact totals
+/// over the whole cache: one least-recently-used order spans every
+/// cached plan, so a cache of capacity `n` holds `n` plans before it
+/// evicts one.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanCacheConfig {
     max_plans: Option<usize>,
@@ -430,8 +423,9 @@ impl PlanCacheConfig {
     }
 }
 
-/// A point-in-time snapshot of a [`PlanCache`]'s counters
-/// ([`PlanCache::stats`]).
+/// A snapshot of a [`PlanCache`]'s counters ([`PlanCache::stats`]),
+/// taken under the lock every update holds, so its fields always agree
+/// with each other.
 ///
 /// `hits`/`misses`/`dedup_waits` partition lookups: a *hit* was served
 /// from the store, a *miss* started a solve, a *dedup wait* blocked on
@@ -498,60 +492,59 @@ struct CacheEntry {
     bytes: usize,
 }
 
-/// A single-flight slot: the leader publishes the solve's result here
-/// and wakes every follower blocked in [`Flight::wait`].
+/// A single-flight slot: the leader sets the solve's result once, and
+/// every follower blocks in [`OnceLock::wait`] until it does.
+type Flight = OnceLock<Result<Arc<RoutePlan>, PlanError>>;
+
+/// Everything a [`PlanCache`] knows, behind its one lock. A solve's key
+/// is one `Arc` shared by its flight and then its entry.
 #[derive(Debug, Default)]
-struct Flight {
-    result: Mutex<Option<Result<Arc<RoutePlan>, PlanError>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn wait(&self) -> Result<Arc<RoutePlan>, PlanError> {
-        let mut slot = self.result.lock().expect("flight poisoned");
-        while slot.is_none() {
-            slot = self.done.wait(slot).expect("flight poisoned");
-        }
-        slot.as_ref().expect("flight published").clone()
-    }
-
-    fn publish(&self, result: Result<Arc<RoutePlan>, PlanError>) {
-        *self.result.lock().expect("flight poisoned") = Some(result);
-        self.done.notify_all();
-    }
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    /// Keys are `Arc`ed so the LRU and invalidation scans can name a
-    /// victim without copying its O(links + flows)-byte key.
+struct CacheState {
     entries: HashMap<Arc<PlanKey>, CacheEntry>,
-    flights: HashMap<PlanKey, Arc<Flight>>,
+    flights: HashMap<Arc<PlanKey>, Arc<Flight>>,
+    /// The LRU clock: bumped on every hit and insert.
     tick: u64,
+    /// The sum of the entries' `bytes`.
     bytes: usize,
+    /// The counters; [`PlanCache::stats`] fills in `plans`, `bytes`,
+    /// `table_bytes` and `in_flight`.
+    stats: CacheStats,
 }
 
-impl Shard {
-    fn touch(&mut self, key: &PlanKey) -> Option<Arc<RoutePlan>> {
+impl CacheState {
+    /// Stores `plan` as the most recently used entry, then evicts
+    /// least-recently-used entries until `config`'s budgets hold (a
+    /// lone plan is kept whatever its size).
+    fn insert(&mut self, key: Arc<PlanKey>, plan: Arc<RoutePlan>, config: PlanCacheConfig) {
         self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.plan.clone()
-        })
-    }
-
-    fn remove(&mut self, key: &PlanKey) {
-        if let Some(entry) = self.entries.remove(key) {
-            self.bytes -= entry.bytes;
+        let bytes = plan.approx_bytes();
+        let entry = CacheEntry {
+            plan,
+            last_used: self.tick,
+            bytes,
+        };
+        // A key has one leader until its entry exists, so this never
+        // replaces an entry.
+        self.entries.insert(key, entry);
+        self.bytes += bytes;
+        self.stats.inserts += 1;
+        let over = |state: &CacheState| {
+            config
+                .max_plans
+                .is_some_and(|cap| state.entries.len() > cap)
+                || config.max_bytes.is_some_and(|cap| state.bytes > cap)
+        };
+        while self.entries.len() > 1 && over(self) {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("a non-empty cache has an LRU entry");
+            let evicted = self.entries.remove(&victim).expect("the victim is cached");
+            self.bytes -= evicted.bytes;
+            self.stats.evicted_lru += 1;
         }
-    }
-
-    fn lru_key(&self) -> Option<Arc<PlanKey>> {
-        self.entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
     }
 }
 
@@ -562,82 +555,49 @@ enum Joined {
     /// An identical solve is in flight; block on it.
     Follower(Arc<Flight>),
     /// Nothing cached or in flight: the caller must solve and
-    /// [`PlanCache::complete`] this flight.
-    Leader(Arc<Flight>),
+    /// [`PlanCache::complete`] this flight under this key.
+    Leader(Arc<PlanKey>, Arc<Flight>),
 }
 
-/// A thread-safe plan store keyed by the canonical [`PlanKey`], sharded
-/// by [`PlanId`] so concurrent tenants contend per shard, not globally.
+/// A thread-safe plan store keyed by the canonical [`PlanKey`].
 ///
 /// Share one cache (wrapped in an [`Arc`]) across every client of a
 /// plan server and each `(topology, workload, algorithm, vcs)` key is
-/// solved once and reused by every request that asks for it. Three
-/// behaviours beyond a plain map:
+/// solved once and reused by every request that asks for it. One mutex
+/// guards the whole store: a hit holds it for one hash and one key
+/// compare, and solves run outside it. Three behaviours beyond a plain
+/// map:
 ///
 /// * **single flight** — concurrent first requests for the same key
 ///   block on one solver ([`Planner::plan`] routes through it); errors
 ///   are broadcast to the waiting followers but never cached, so the
 ///   next request retries;
 /// * **LRU bounds** — optional plan-count and approximate-byte budgets
-///   ([`PlanCacheConfig`]) evict the least-recently-used entries;
+///   ([`PlanCacheConfig`]), exact totals over the whole cache, evict
+///   the least-recently-used entries;
 /// * **selective invalidation** — [`PlanCache::invalidate`] takes a
 ///   link delta and evicts only the plans that route demand over an
 ///   affected link; every other plan keeps its entry.
 ///
 /// Counters for all of the above are snapshotted by
 /// [`PlanCache::stats`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    max_plans_per_shard: Option<usize>,
-    max_bytes_per_shard: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    dedup_waits: AtomicU64,
-    inserts: AtomicU64,
-    evicted_lru: AtomicU64,
-    evicted_invalidated: AtomicU64,
-    recertified: AtomicU64,
-    in_flight: AtomicU64,
-    solves: AtomicU64,
-    solve_ns_total: AtomicU64,
-    solve_ns_max: AtomicU64,
-}
-
-impl Default for PlanCache {
-    fn default() -> PlanCache {
-        PlanCache::new()
-    }
+    config: PlanCacheConfig,
+    state: Mutex<CacheState>,
 }
 
 impl PlanCache {
     /// An empty, unbounded cache.
     pub fn new() -> PlanCache {
-        PlanCache::with_config(PlanCacheConfig::new())
+        PlanCache::default()
     }
 
     /// An empty cache sized by `config`.
     pub fn with_config(config: PlanCacheConfig) -> PlanCache {
-        // A capacity smaller than the shard count would starve shards
-        // (per-shard cap 1 each but only `max_plans` total ever live):
-        // collapse to `max_plans` shards so tiny caches are strict LRU.
-        let shards = config.max_plans.map_or(SHARDS, |n| n.clamp(1, SHARDS));
-        let per = |total: Option<usize>| total.map(|t| t.div_ceil(shards).max(1));
         PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            max_plans_per_shard: per(config.max_plans),
-            max_bytes_per_shard: per(config.max_bytes),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            dedup_waits: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evicted_lru: AtomicU64::new(0),
-            evicted_invalidated: AtomicU64::new(0),
-            recertified: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-            solve_ns_total: AtomicU64::new(0),
-            solve_ns_max: AtomicU64::new(0),
+            config,
+            state: Mutex::default(),
         }
     }
 
@@ -651,79 +611,56 @@ impl PlanCache {
         Arc::new(PlanCache::with_config(config))
     }
 
-    fn shard(&self, key: &PlanKey) -> &Mutex<Shard> {
-        &self.shards[key.id().0 as usize % self.shards.len()]
-    }
-
-    fn insert_locked(&self, shard: &mut Shard, key: PlanKey, plan: Arc<RoutePlan>) {
-        shard.remove(&key); // replace, don't double-count bytes
-        let key = Arc::new(key);
-        let bytes = plan.approx_bytes();
-        shard.tick += 1;
-        let entry = CacheEntry {
-            plan,
-            last_used: shard.tick,
-            bytes,
-        };
-        shard.bytes += bytes;
-        shard.entries.insert(key, entry);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        let over = |shard: &Shard| {
-            self.max_plans_per_shard
-                .is_some_and(|cap| shard.entries.len() > cap)
-                || self
-                    .max_bytes_per_shard
-                    .is_some_and(|cap| shard.bytes > cap)
-        };
-        while over(shard) && shard.entries.len() > 1 {
-            let victim = shard.lru_key().expect("non-empty shard has an LRU key");
-            shard.remove(&victim);
-            self.evicted_lru.fetch_add(1, Ordering::Relaxed);
-        }
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("plan cache poisoned")
     }
 
     /// Looks up `key`, joining or opening a single-flight solve on a
     /// miss.
-    fn join(&self, key: &PlanKey) -> Joined {
-        let mut shard = self.shard(key).lock().expect("plan cache poisoned");
-        if let Some(plan) = shard.touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Joined::Hit(plan);
+    fn join(&self, key: PlanKey) -> Joined {
+        let mut state = self.lock();
+        let state = &mut *state;
+        if let Some(entry) = state.entries.get_mut(&key) {
+            state.tick += 1;
+            entry.last_used = state.tick;
+            state.stats.hits += 1;
+            return Joined::Hit(entry.plan.clone());
         }
-        if let Some(flight) = shard.flights.get(key) {
-            self.dedup_waits.fetch_add(1, Ordering::Relaxed);
+        if let Some(flight) = state.flights.get(&key) {
+            state.stats.dedup_waits += 1;
             return Joined::Follower(flight.clone());
         }
-        let flight = Arc::new(Flight::default());
-        shard.flights.insert(key.clone(), flight.clone());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        Joined::Leader(flight)
+        let key = Arc::new(key);
+        let flight = Arc::new(Flight::new());
+        state.flights.insert(key.clone(), flight.clone());
+        state.stats.misses += 1;
+        Joined::Leader(key, flight)
     }
 
     /// Publishes a leader's solve result: stores successes (LRU
-    /// budgets applied), broadcasts to followers, and retires the
-    /// flight. Errors are broadcast but never cached.
+    /// budgets applied), retires the flight and wakes its followers.
+    /// Errors are broadcast but never cached.
     fn complete(
         &self,
-        key: &PlanKey,
-        flight: &Arc<Flight>,
+        key: Arc<PlanKey>,
+        flight: &Flight,
         result: Result<Arc<RoutePlan>, PlanError>,
         elapsed: std::time::Duration,
     ) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        self.solve_ns_total.fetch_add(ns, Ordering::Relaxed);
-        self.solve_ns_max.fetch_max(ns, Ordering::Relaxed);
         {
-            let mut shard = self.shard(key).lock().expect("plan cache poisoned");
-            shard.flights.remove(key);
+            let mut state = self.lock();
+            state.stats.solves += 1;
+            state.stats.solve_ns_total = state.stats.solve_ns_total.saturating_add(ns);
+            state.stats.solve_ns_max = state.stats.solve_ns_max.max(ns);
+            state.flights.remove(&key);
             if let Ok(plan) = &result {
-                self.insert_locked(&mut shard, key.clone(), plan.clone());
+                state.insert(key, plan.clone(), self.config);
             }
         }
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        flight.publish(result);
+        flight
+            .set(result)
+            .expect("only the leader completes its flight");
     }
 
     /// Applies a link delta — failures or capacity changes, given as
@@ -739,47 +676,39 @@ impl PlanCache {
     /// next request if affected).
     pub fn invalidate(&self, links: &[(u32, u32)]) -> InvalidateOutcome {
         let mut outcome = InvalidateOutcome::default();
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("plan cache poisoned");
-            let mut evict = Vec::new();
-            for (key, entry) in &shard.entries {
-                let plan = &entry.plan;
-                let topo = plan.topology();
-                let mut affected = links
-                    .iter()
-                    .flat_map(|&(a, b)| [(a, b), (b, a)])
-                    .filter_map(|(src, dst)| {
-                        topo.find_link(bsor_topology::NodeId(src), bsor_topology::NodeId(dst))
-                    })
-                    .peekable();
-                if affected.peek().is_none() {
-                    continue;
-                }
-                outcome.examined += 1;
-                if affected.any(|l| plan.link_demands[l.index()] > 0.0) {
-                    evict.push(key.clone());
-                } else {
-                    outcome.recertified += 1;
-                }
+        let mut state = self.lock();
+        let state = &mut *state;
+        state.entries.retain(|_, entry| {
+            let plan = &entry.plan;
+            let topo = plan.topology();
+            let mut affected = links
+                .iter()
+                .flat_map(|&(a, b)| [(a, b), (b, a)])
+                .filter_map(|(src, dst)| {
+                    topo.find_link(bsor_topology::NodeId(src), bsor_topology::NodeId(dst))
+                })
+                .peekable();
+            if affected.peek().is_none() {
+                return true;
             }
-            for key in &evict {
-                shard.remove(key);
+            outcome.examined += 1;
+            if affected.any(|l| plan.link_demands[l.index()] > 0.0) {
+                outcome.evicted += 1;
+                state.bytes -= entry.bytes;
+                false
+            } else {
+                outcome.recertified += 1;
+                true
             }
-            outcome.evicted += evict.len() as u64;
-        }
-        self.recertified
-            .fetch_add(outcome.recertified, Ordering::Relaxed);
-        self.evicted_invalidated
-            .fetch_add(outcome.evicted, Ordering::Relaxed);
+        });
+        state.stats.recertified += outcome.recertified;
+        state.stats.evicted_invalidated += outcome.evicted;
         outcome
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("plan cache poisoned").entries.len())
-            .sum()
+        self.lock().entries.len()
     }
 
     /// True when nothing is cached.
@@ -793,47 +722,26 @@ impl PlanCache {
     /// past every cached topology's node count cannot name a real link,
     /// so the request is a client error rather than a silent no-op.
     pub fn max_node_count(&self) -> Option<usize> {
-        self.shards
-            .iter()
-            .filter_map(|s| {
-                let shard = s.lock().expect("plan cache poisoned");
-                shard
-                    .entries
-                    .values()
-                    .map(|e| e.plan.topology().num_nodes())
-                    .max()
-            })
+        self.lock()
+            .entries
+            .values()
+            .map(|e| e.plan.topology().num_nodes())
             .max()
     }
 
     /// A snapshot of the cache's counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let (mut plans, mut bytes, mut table_bytes) = (0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            let shard = shard.lock().expect("plan cache poisoned");
-            plans += shard.entries.len() as u64;
-            bytes += shard.bytes as u64;
-            table_bytes += shard
+        let state = self.lock();
+        CacheStats {
+            in_flight: state.flights.len() as u64,
+            plans: state.entries.len() as u64,
+            bytes: state.bytes as u64,
+            table_bytes: state
                 .entries
                 .values()
                 .map(|e| e.plan.table_bytes() as u64)
-                .sum::<u64>();
-        }
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evicted_lru: self.evicted_lru.load(Ordering::Relaxed),
-            evicted_invalidated: self.evicted_invalidated.load(Ordering::Relaxed),
-            recertified: self.recertified.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            solves: self.solves.load(Ordering::Relaxed),
-            solve_ns_total: self.solve_ns_total.load(Ordering::Relaxed),
-            solve_ns_max: self.solve_ns_max.load(Ordering::Relaxed),
-            plans,
-            bytes,
-            table_bytes,
+                .sum(),
+            ..state.stats
         }
     }
 }
@@ -912,14 +820,14 @@ impl Planner {
                 self.compact_tables,
             )?));
         };
-        match cache.join(&key) {
+        match cache.join(key) {
             Joined::Hit(plan) => Ok(plan),
-            Joined::Follower(flight) => flight.wait(),
-            Joined::Leader(flight) => {
+            Joined::Follower(flight) => flight.wait().clone(),
+            Joined::Leader(key, flight) => {
                 let start = Instant::now();
                 let result =
                     build_plan(scenario, algorithm, key.id(), self.compact_tables).map(Arc::new);
-                cache.complete(&key, &flight, result.clone(), start.elapsed());
+                cache.complete(key, &flight, result.clone(), start.elapsed());
                 result
             }
         }

@@ -1,6 +1,7 @@
-//! Concurrency contract of the sharded single-flight [`PlanCache`]:
+//! Concurrency and budget contract of the single-flight [`PlanCache`]:
 //! N racing planners on one key cost exactly one route solve, LRU
-//! eviction holds under a capacity-1 cache, `invalidate` during an
+//! eviction holds under a capacity-1 cache, the plan-count and byte
+//! budgets are exact totals under one LRU order, `invalidate` during an
 //! in-flight solve neither deadlocks nor corrupts the cache, each
 //! invalidation delta examines, evicts and keeps exactly the plans it
 //! should, and solver errors propagate to followers without being
@@ -124,6 +125,97 @@ fn capacity_one_cache_is_strict_lru() {
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.evicted_lru, 2);
     assert_eq!(cache.len(), 1);
+}
+
+/// A standard workload on a 4x4 mesh at 2 VCs.
+fn mesh4_scenario(workload: &str) -> Scenario {
+    let topo = Topology::mesh2d(4, 4);
+    let flows = bsor_workloads::workload_by_name(&topo, workload)
+        .expect("4x4 workload builds")
+        .flows;
+    Scenario::builder(topo, flows)
+        .named(workload)
+        .vcs(2)
+        .build()
+        .expect("4x4 scenario builds")
+}
+
+#[test]
+fn plan_budget_is_an_exact_total_under_one_lru() {
+    let scenarios: Vec<Scenario> = ["transpose", "bit-complement", "shuffle", "tornado"]
+        .into_iter()
+        .map(mesh4_scenario)
+        .collect();
+    let keys: Vec<(&Scenario, Baseline)> = scenarios
+        .iter()
+        .flat_map(|s| [(s, Baseline::XY), (s, Baseline::YX)])
+        .collect();
+    let cache = PlanCache::shared_with(PlanCacheConfig::new().max_plans(8));
+    let planner = Planner::new().with_cache(cache.clone());
+    for (s, algorithm) in &keys {
+        planner.plan(s, algorithm).expect("plans");
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.plans, stats.evicted_lru), (8, 0), "8 plans fit 8");
+    // Touch all but the first key; a 9th key then evicts exactly it.
+    for (s, algorithm) in &keys[1..] {
+        planner.plan(s, algorithm).expect("hits");
+    }
+    let ninth = mesh4_scenario("neighbor");
+    planner.plan(&ninth, &Baseline::XY).expect("plans");
+    let before = cache.stats();
+    assert_eq!((before.plans, before.evicted_lru), (8, 1));
+    for (s, algorithm) in &keys[1..] {
+        planner.plan(s, algorithm).expect("hits");
+    }
+    planner.plan(&ninth, &Baseline::XY).expect("hits");
+    let after = cache.stats();
+    assert_eq!(
+        (after.hits - before.hits, after.solves - before.solves),
+        (8, 0),
+        "every key but the untouched one stayed"
+    );
+    let (s, algorithm) = &keys[0];
+    planner.plan(s, algorithm).expect("re-solves");
+    assert_eq!(cache.stats().solves, after.solves + 1);
+}
+
+#[test]
+fn byte_budget_is_an_exact_total_under_one_lru() {
+    let small = transpose_scenario(4);
+    let equal = [Baseline::XY, Baseline::YX, Baseline::Romm { seed: 2 }];
+    let bytes = Planner::new()
+        .plan(&small, &equal[0])
+        .expect("plans")
+        .approx_bytes();
+    let budget = bytes * 5 / 2;
+    let cache = PlanCache::shared_with(PlanCacheConfig::new().max_bytes(budget));
+    let planner = Planner::new().with_cache(cache.clone());
+    for algorithm in &equal {
+        let plan = planner.plan(&small, algorithm).expect("plans");
+        assert_eq!(plan.approx_bytes(), bytes, "minimal routes, equal sizes");
+    }
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.plans, stats.bytes, stats.evicted_lru),
+        (2, 2 * bytes as u64, 1),
+        "2 of 3 plans fit 2.5 plans' bytes"
+    );
+    // The first plan was the LRU victim; the other two hit.
+    for algorithm in &equal[1..] {
+        planner.plan(&small, algorithm).expect("hits");
+    }
+    assert_eq!((cache.stats().hits, cache.stats().solves), (2, 3));
+    // A plan over the whole budget evicts the rest and is kept alone.
+    let big = planner
+        .plan(&transpose_scenario(8), &Baseline::XY)
+        .expect("plans");
+    assert!(big.approx_bytes() > budget);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.plans, stats.bytes, stats.evicted_lru),
+        (1, big.approx_bytes() as u64, 3)
+    );
 }
 
 #[test]
